@@ -11,7 +11,7 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "scu/link.h"
-#include "sim/engine.h"
+#include "sim/parallel_engine.h"
 
 using namespace qcdoc;
 using namespace qcdoc::scu;
@@ -21,7 +21,7 @@ namespace {
 /// Achieved payload bandwidth (fraction of the 64/72 wire limit) for a
 /// window size.
 double bandwidth_fraction(int window) {
-  sim::SerialEngine engine;
+  sim::ParallelEngine engine;
   sim::StatSet stats;
   hssl::HsslConfig hc;
   hc.training_cycles = 16;

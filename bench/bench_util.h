@@ -32,7 +32,7 @@ inline void print_rows(const std::vector<perf::Row>& rows) {
   std::printf("%s", perf::format_table(rows).c_str());
 }
 
-/// Print which simulation engine a machine is running on.  Every bench and
+/// Print how the simulation engine of a machine ran.  Every bench and
 /// example calls this so the QCDOC_SIM_THREADS knob is visible in output;
 /// simulated results are bit-identical regardless, only wall clock changes.
 inline void print_engine(machine::Machine& m) {
@@ -43,7 +43,6 @@ inline void print_engine(machine::Machine& m) {
 
 /// One measured engine run for BENCH_*.json.
 struct EngineBenchRun {
-  std::string engine;        ///< "serial" or "parallel"
   int threads = 1;
   u64 events = 0;
   double wall_seconds = 0;
@@ -76,11 +75,11 @@ inline void write_engine_bench_json(const char* path,
         r.wall_seconds > 0 ? static_cast<double>(r.events) / r.wall_seconds
                            : 0.0;
     std::fprintf(f,
-                 "    {\"engine\": \"%s\", \"threads\": %d, "
+                 "    {\"threads\": %d, "
                  "\"events\": %llu, \"wall_seconds\": %.3f, "
                  "\"events_per_sec\": %.0f, \"digest\": \"%016llx\", "
                  "\"heap_blocks_steady\": %llu}%s\n",
-                 r.engine.c_str(), r.threads,
+                 r.threads,
                  static_cast<unsigned long long>(r.events), r.wall_seconds,
                  rate, static_cast<unsigned long long>(r.digest),
                  static_cast<unsigned long long>(r.heap_blocks_steady),

@@ -25,8 +25,8 @@ int main() {
   std::printf("machine: %d nodes, %s, %.0f MHz\n", m.num_nodes(),
               m.topology().shape().to_string().c_str(),
               m.hw().cpu_clock_hz / 1e6);
-  // Simulation engine (QCDOC_SIM_THREADS selects serial vs parallel; the
-  // simulated results are bit-identical either way).
+  // Simulation engine (QCDOC_SIM_THREADS sets its worker threads; the
+  // simulated results are bit-identical at every count).
   std::printf("%s\n", perf::format_engine_report(m.engine().report()).c_str());
 
   // Boot through the qdaemon: ~100 JTAG + ~100 UDP packets per node.

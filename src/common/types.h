@@ -32,8 +32,6 @@ struct HwParams {
   // --- Processor (PPC 440 + FPU64) -------------------------------------
   int flops_per_cycle = 2;        ///< one fused multiply-add per cycle
   std::size_t icache_bytes = 32 * 1024;
-  std::size_t dcache_bytes = 32 * 1024;
-  std::size_t dcache_line_bytes = 32;
 
   // --- Memory system ----------------------------------------------------
   std::size_t edram_bytes = 4 * 1024 * 1024;  ///< on-chip embedded DRAM

@@ -1,6 +1,8 @@
 #include "hssl/hssl.h"
 
+#include <bit>
 #include <cmath>
+#include <stdexcept>
 
 #include "common/log.h"
 #include "sim/affinity_guard.h"
@@ -20,7 +22,9 @@ const char* to_string(LinkState s) {
 Hssl::Hssl(sim::EngineRef engine, HsslConfig cfg, Rng error_stream,
            sim::StatSet* stats)
     : engine_(engine), delivery_(engine), cfg_(cfg), errors_(error_stream),
-      stats_(stats) {
+      stats_(stats),
+      in_flight_(std::bit_ceil(
+          2 * (static_cast<std::size_t>(cfg.wire_delay_cycles) + 2))) {
   if (stats_) {
     stat_frames_ = stats_->cell("hssl.frames");
     stat_bits_ = stats_->cell("hssl.bits");
@@ -55,7 +59,8 @@ void Hssl::fail() {
   }
   state_ = LinkState::kFailed;
   busy_ = false;
-  queue_.clear();  // bits in flight never arrive
+  drop_queued();
+  drop_in_flight();  // bits in flight never arrive
   ++epoch_;
   if (stats_) stats_->add("hssl.failures");
 }
@@ -65,7 +70,8 @@ void Hssl::retrain() {
   if (state_ == LinkState::kDown || state_ == LinkState::kTraining) return;
   ++epoch_;
   busy_ = false;
-  queue_.clear();
+  drop_queued();
+  drop_in_flight();
   if (stats_) stats_->add("hssl.retrains");
   begin_training();
 }
@@ -88,16 +94,24 @@ u64 Hssl::transmit(int bits, DeliveryFn on_delivered) {
     return kRejected;
   }
   const u64 id = next_frame_id_++;
+  if (queue_head_ > 0 && queue_.size() == queue_.capacity()) {
+    // Reclaim the sent prefix instead of growing.
+    queue_.erase(queue_.begin(),
+                 queue_.begin() + static_cast<std::ptrdiff_t>(queue_head_));
+    queue_head_ = 0;
+  }
   queue_.push_back(Frame{id, bits, std::move(on_delivered)});
   if (state_ == LinkState::kTrained && !busy_) start_next();
   return id;
 }
 
 void Hssl::start_next() {
-  if (state_ != LinkState::kTrained || busy_ || queue_.empty()) return;
+  if (state_ != LinkState::kTrained || busy_ || queue_head_ == queue_.size()) {
+    return;
+  }
   busy_ = true;
-  Frame frame = std::move(queue_.front());
-  queue_.pop_front();
+  Frame frame = std::move(queue_[queue_head_++]);
+  if (queue_head_ == queue_.size()) drop_queued();
 
   int flipped = 0;
   if (cfg_.bit_error_rate > 0.0) {
@@ -125,16 +139,38 @@ void Hssl::start_next() {
   // Delivery executes at the receiving node.  The serialization time plus
   // the wire delay is never shorter than a minimum frame plus the wire
   // delay, which is exactly the parallel engine's lookahead.
-  delivery_.schedule(
-      serialize + cfg_.wire_delay_cycles,
-      [this, epoch = epoch_, frame = std::move(frame), flipped]() mutable {
-        // epoch_ moves only in host slices (fail/retrain), which fence every
-        // node event, so this receiver-side read can never race the sender;
-        // AFFSAN checks the mutators at runtime.
-        // qcdoc-lint: allow(cross-affinity-access) epoch_ is window-frozen
-        if (epoch != epoch_) return;
-        if (frame.on_delivered) frame.on_delivered(frame.id, flipped);
-      });
+  const u64 tail = in_flight_tail_;
+  if (tail - in_flight_head_.load(std::memory_order_acquire) >=
+      in_flight_.size()) {
+    throw std::logic_error("Hssl: more frames in flight than the wire holds");
+  }
+  in_flight_[tail & (in_flight_.size() - 1)] = std::move(frame);
+  in_flight_tail_ = tail + 1;
+  delivery_.schedule(serialize + cfg_.wire_delay_cycles,
+                     [this, epoch = epoch_, flipped] { deliver(epoch, flipped); });
+}
+
+void Hssl::deliver(u64 epoch, int flipped) {
+  // epoch_ moves only in host slices (fail/retrain), which fence every node
+  // event, so this receiver-side read can never race the sender; AFFSAN
+  // checks the mutators at runtime.  A stale epoch's frames were dropped
+  // with the ring.
+  // qcdoc-lint: allow(cross-affinity-access) epoch_ is window-frozen
+  if (epoch != epoch_) return;
+  const u64 head = in_flight_head_.load(std::memory_order_relaxed);
+  Frame frame = std::move(in_flight_[head & (in_flight_.size() - 1)]);
+  in_flight_head_.store(head + 1, std::memory_order_release);
+  if (frame.on_delivered) frame.on_delivered(frame.id, flipped);
+}
+
+void Hssl::drop_queued() {
+  queue_.clear();
+  queue_head_ = 0;
+}
+
+void Hssl::drop_in_flight() {
+  for (Frame& f : in_flight_) f.on_delivered.reset();
+  in_flight_head_.store(in_flight_tail_, std::memory_order_relaxed);
 }
 
 Cycle Hssl::idle_cycles() const {

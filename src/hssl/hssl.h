@@ -16,8 +16,9 @@
 // sentinel instead of queueing it silently.
 #pragma once
 
-#include <deque>
+#include <atomic>
 #include <functional>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/types.h"
@@ -110,6 +111,9 @@ class Hssl {
  private:
   void begin_training();
   void start_next();
+  void deliver(u64 epoch, int flipped);
+  void drop_queued();
+  void drop_in_flight();
 
   sim::EngineRef engine_;
   sim::EngineRef delivery_;  ///< same engine, the receiving node's affinity
@@ -133,11 +137,32 @@ class Hssl {
   u64 epoch_ = 0;
 
   struct Frame {
-    u64 id;
-    int bits;
+    u64 id = 0;
+    int bits = 0;
     DeliveryFn on_delivered;
   };
-  std::deque<Frame> queue_;
+  /// Frames waiting for the serializer, oldest at queue_head_.  A vector,
+  /// not a deque: a link rarely holds more than one waiting frame, and a
+  /// deque streaming frames through allocates and frees a chunk every few
+  /// of them.
+  std::vector<Frame> queue_;
+  std::size_t queue_head_ = 0;
+  /// Frames on the wire, oldest first.  Deliveries happen in serialization
+  /// order, so the delivery event only carries (link, epoch, flipped bits)
+  /// and takes its frame from the front here -- a whole Frame with its
+  /// callback would not fit EventFn's inline buffer.  Single producer
+  /// (start_next, sender affinity) and single consumer (deliver, receiver
+  /// affinity), possibly on different engine threads: a fixed ring whose
+  /// consumer index is atomic.  A frame stays on the wire its own length
+  /// plus the wire delay and every later frame takes at least one cycle to
+  /// serialize, so at most wire_delay_cycles + 2 frames are in flight at
+  /// one simulated time.  Inside a parallel window the sender may run up to
+  /// one lookahead ahead of the receiver, which lets at most as many again
+  /// start early; the ring holds twice the bound and throws if it is ever
+  /// exceeded.
+  std::vector<Frame> in_flight_;
+  u64 in_flight_tail_ = 0;             ///< producer: next slot to fill
+  std::atomic<u64> in_flight_head_{0}; ///< consumer: next frame to deliver
   std::function<void()> on_ready_;
 };
 

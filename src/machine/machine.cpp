@@ -20,21 +20,16 @@ Machine::Machine(const MachineConfig& cfg) : cfg_(cfg) {
   mesh_cfg.mem = cfg.mem;
   mesh_cfg.seed = cfg.seed;
 
-  const int threads =
+  // Nothing crosses between nodes faster than the shortest frame's
+  // serialization plus the wire time-of-flight, so that is the conservative
+  // lookahead.  The thread count only sets how many shards run it.
+  sim::ParallelConfig pcfg;
+  pcfg.threads =
       cfg.sim_threads > 0 ? cfg.sim_threads : sim::threads_from_env();
-  if (threads <= 1) {
-    engine_ = std::make_unique<sim::SerialEngine>();
-  } else {
-    // Nothing crosses between nodes faster than the shortest frame's
-    // serialization plus the wire time-of-flight, so that is the
-    // conservative lookahead.
-    sim::ParallelConfig pcfg;
-    pcfg.threads = threads;
-    pcfg.lookahead = static_cast<Cycle>(scu::min_frame_bits()) +
-                     mesh_cfg.hssl.wire_delay_cycles;
-    pcfg.num_nodes = mesh_cfg.shape.volume();
-    engine_ = std::make_unique<sim::ParallelEngine>(pcfg);
-  }
+  pcfg.lookahead = static_cast<Cycle>(scu::min_frame_bits()) +
+                   mesh_cfg.hssl.wire_delay_cycles;
+  pcfg.num_nodes = mesh_cfg.shape.volume();
+  engine_ = std::make_unique<sim::ParallelEngine>(pcfg);
 
   mesh_ = std::make_unique<net::MeshNet>(engine_.get(), mesh_cfg);
   package_map_ = std::make_unique<PackageMap>(mesh_->topology());

@@ -31,22 +31,6 @@ std::string format_table(const std::vector<Row>& rows) {
 std::string format_engine_report(const sim::EngineReport& r,
                                  bool wall_clock) {
   char line[512];
-  if (r.kind != "parallel") {
-    std::snprintf(line, sizeof(line), "engine: %s, %llu events",
-                  r.kind.c_str(),
-                  static_cast<unsigned long long>(r.events));
-    std::string out = line;
-    if (wall_clock) {
-      std::snprintf(line, sizeof(line),
-                    "\nengine wall clock: action pool %llu blocks / %llu "
-                    "reuses / %llu oversize",
-                    static_cast<unsigned long long>(r.action_pool_blocks),
-                    static_cast<unsigned long long>(r.action_pool_reuses),
-                    static_cast<unsigned long long>(r.action_oversize_allocs));
-      out += line;
-    }
-    return out;
-  }
   u64 min_shard = ~u64{0}, max_shard = 0;
   for (const u64 e : r.shard_events) {
     min_shard = std::min(min_shard, e);
@@ -58,10 +42,11 @@ std::string format_engine_report(const sim::EngineReport& r,
   // timing-dependent diagnostics (barrier stall, wait histogram, allocator
   // counters) only appear on the opt-in wall_clock line.
   std::snprintf(line, sizeof(line),
-                "engine: parallel, %d threads, lookahead %llu cycles, "
+                "engine: %d thread%s, lookahead %llu cycles, "
                 "%llu events (shards %llu..%llu), windows %llu par / %llu "
                 "ff / %llu host, %llu cross-shard, peak pending %llu",
-                r.threads, static_cast<unsigned long long>(r.lookahead),
+                r.threads, r.threads == 1 ? "" : "s",
+                static_cast<unsigned long long>(r.lookahead),
                 static_cast<unsigned long long>(r.events),
                 static_cast<unsigned long long>(min_shard),
                 static_cast<unsigned long long>(max_shard),

@@ -27,11 +27,10 @@ struct Row {
 /// Render rows as an aligned text table.
 std::string format_table(const std::vector<Row>& rows);
 
-/// One-line summary of which simulation engine ran and how hard it worked:
-/// kind, thread count, events, and -- for the parallel engine -- slice
-/// counts (parallel windows / single-shard fast-forwards / host slices),
-/// cross-shard schedules, peak pending depth, and the per-shard event
-/// spread.  The default line carries only deterministic counters so bench
+/// One-line summary of how the simulation engine ran and how hard it
+/// worked: thread count, lookahead, events, slice counts (parallel windows /
+/// single-shard fast-forwards / host slices), cross-shard schedules, peak
+/// pending depth, and the per-shard event spread.  The default line carries only deterministic counters so bench
 /// and example output stays bit-identical run to run; pass
 /// `wall_clock = true` to append a second line with the timing-dependent
 /// diagnostics (barrier stall seconds, the barrier-wait histogram, and the

@@ -1,20 +1,9 @@
 #include "sim/engine.h"
 
 #include <cstdlib>
-#include <utility>
+#include <string>
 
 namespace qcdoc::sim {
-
-namespace detail {
-
-ExecCtx& exec_ctx() {
-  // Saved and restored around every event by ScopedExecCtx.
-  // qcdoc-lint: allow(mutable-static) per-thread ctx, never crosses events
-  thread_local ExecCtx ctx;
-  return ctx;
-}
-
-}  // namespace detail
 
 void Engine::throw_past(Cycle t, Cycle now) {
   throw std::invalid_argument(
@@ -28,113 +17,6 @@ int threads_from_env() {
   const long v = std::strtol(env, nullptr, 10);
   if (v <= 1) return 1;
   return v > 256 ? 256 : static_cast<int>(v);
-}
-
-SerialEngine::Stream& SerialEngine::stream(u32 rank) {
-  if (streams_.size() <= rank) streams_.resize(rank + 1);
-  return streams_[rank];
-}
-
-void SerialEngine::schedule_at_on(Affinity dest, Cycle t, Action fn) {
-  const Cycle current = now();
-  if (t < current) throw_past(t, current);
-  const u32 src = detail::affinity_rank(current_affinity());
-  queue_.push(Event{t, detail::affinity_rank(dest), src,
-                    stream(src).scheduled++, std::move(fn)});
-}
-
-bool SerialEngine::step() {
-  if (queue_.empty()) return false;
-  // Moving out of a priority_queue requires const_cast; the element is popped
-  // immediately afterwards so the broken ordering invariant is never observed.
-  Event ev = std::move(const_cast<Event&>(queue_.top()));
-  queue_.pop();
-  now_ = ev.time;
-  Stream& dst = stream(ev.dest_rank);
-  dst.digest = detail::fnv1a(dst.digest, ev.time);
-  dst.digest = detail::fnv1a(dst.digest, (u64{ev.dest_rank} << 32) | ev.src_rank);
-  dst.digest = detail::fnv1a(dst.digest, ev.seq);
-  ++dst.executed;
-  ++events_;
-  const detail::ScopedExecCtx ctx(this, ev.time,
-                                  detail::rank_affinity(ev.dest_rank),
-                                  detail::rank_affinity(ev.src_rank), ev.seq);
-  ev.fn();
-  return true;
-}
-
-Cycle SerialEngine::run_until_idle() {
-  while (step()) {
-  }
-  return now_;
-}
-
-void SerialEngine::run_until(Cycle t) {
-  while (!queue_.empty() && queue_.top().time <= t) step();
-  if (t > now_) now_ = t;
-}
-
-void SerialEngine::advance_to(Cycle t) {
-  if (!queue_.empty() && queue_.top().time < t) {
-    throw std::logic_error("Engine::advance_to would skip pending events");
-  }
-  if (t > now_) now_ = t;
-}
-
-bool SerialEngine::drain(const ActiveCounter& counter) {
-  while (counter.value() != 0) {
-    if (!step()) return false;  // stalled: no events but not done
-  }
-  return true;
-}
-
-u64 SerialEngine::trace_digest() const {
-  u64 h = detail::kFnvOffset;
-  for (u32 r = 0; r < streams_.size(); ++r) {
-    if (streams_[r].executed == 0) continue;
-    h = detail::fnv1a(h, r);
-    h = detail::fnv1a(h, streams_[r].executed);
-    h = detail::fnv1a(h, streams_[r].digest);
-  }
-  return h;
-}
-
-EngineClockState SerialEngine::capture_clock() const {
-  EngineClockState st;
-  st.now = now_;
-  st.events_executed = events_;
-  for (u32 r = 0; r < streams_.size(); ++r) {
-    const Stream& s = streams_[r];
-    if (s.scheduled == 0 && s.executed == 0) continue;
-    st.streams.push_back({r, s.scheduled, s.executed, s.digest});
-  }
-  return st;
-}
-
-void SerialEngine::restore_clock(const EngineClockState& state) {
-  if (!queue_.empty()) {
-    throw std::logic_error("SerialEngine::restore_clock with pending events");
-  }
-  now_ = state.now;
-  events_ = state.events_executed;
-  streams_.clear();
-  for (const EngineStreamState& s : state.streams) {
-    Stream& dst = stream(s.rank);
-    dst.scheduled = s.scheduled;
-    dst.executed = s.executed;
-    dst.digest = s.digest;
-  }
-}
-
-EngineReport SerialEngine::report() const {
-  EngineReport rep;
-  rep.kind = "serial";
-  rep.events = events_;
-  const detail::ActionAllocStats a = detail::action_alloc_stats();
-  rep.action_pool_blocks = a.pool_blocks - alloc_base_.pool_blocks;
-  rep.action_pool_reuses = a.pool_reuses - alloc_base_.pool_reuses;
-  rep.action_oversize_allocs = a.oversize_allocs - alloc_base_.oversize_allocs;
-  return rep;
 }
 
 }  // namespace qcdoc::sim

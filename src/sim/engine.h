@@ -2,17 +2,17 @@
 //
 // All timed behaviour in the machine model (serial-link bit timing, DMA
 // engines, memory controllers, the 40 MHz global clock) is expressed as
-// events on one engine.  Two interchangeable implementations exist behind
-// the abstract `Engine` interface:
-//
-//   - SerialEngine: a single priority queue, the reference semantics.
-//   - ParallelEngine (parallel_engine.h): a conservative parallel executor
-//     that shards event queues per node and synchronizes in lookahead-sized
-//     time windows.
+// events on one engine.  The abstract `Engine` interface below has one
+// production implementation, the sharded calendar-queue engine in
+// parallel_engine.h, which every machine runs on at every thread count:
+// `threads` only sets how many shards (worker threads) it splits the nodes
+// across, and at one thread it never touches a barrier.  Tests keep a
+// plain binary-heap reference engine (tests/reference_engine.h) as the
+// oracle the production engine is diff-tested against.
 //
 // Determinism is a correctness requirement, mirroring the paper's demand
 // that repeated runs of a physics evolution be identical in all bits
-// (Section 4).  Both engines therefore execute events in one well-defined
+// (Section 4).  Every engine therefore executes events in one well-defined
 // total order, keyed by
 //
 //     (time, destination rank, source rank, per-source sequence number)
@@ -20,23 +20,22 @@
 // where the "rank" of an event is the node it acts on (the host controller
 // is rank 0 and fires first at equal timestamps; node i is rank i+1).  The
 // source rank is the rank that scheduled the event, and the sequence number
-// counts schedules per source.  This key is computable identically by both
-// engines -- unlike a global schedule counter, it does not depend on the
-// interleaving of independent nodes -- and it reduces to plain scheduling
-// order for events scheduled from one context at one timestamp.
+// counts schedules per source.  This key does not depend on how many
+// threads run the simulation -- unlike a global schedule counter, it does
+// not depend on the interleaving of independent nodes -- and it reduces to
+// plain scheduling order for events scheduled from one context at one
+// timestamp.
 //
 // Every engine additionally maintains an order digest (FNV-1a over the key
 // tuples, folded per destination rank) so tests can assert that two runs --
-// or the two engine implementations -- executed the exact same events at the
-// exact same times.
+// at different thread counts, or against the reference engine -- executed
+// the exact same events at the exact same times.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstddef>
-#include <queue>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -44,8 +43,8 @@
 
 namespace qcdoc::sim {
 
-/// Which node's state an event acts on.  Used by the parallel engine to
-/// shard work; ignored (beyond tie-breaking) by the serial engine.
+/// Which node's state an event acts on.  The engine shards work by it and
+/// breaks timestamp ties with it.
 using Affinity = u32;
 
 /// Affinity of host-controller events (boot, Ethernet, fault injection,
@@ -90,7 +89,12 @@ struct ExecCtx {
   u64 seq = 0;
 };
 
-ExecCtx& exec_ctx();
+// Saved and restored around every event by ScopedExecCtx.  Inline so the
+// hot now()/schedule() path reads it without a call.
+// qcdoc-lint: allow(mutable-static) per-thread ctx, never crosses events
+inline thread_local ExecCtx t_exec_ctx;
+
+inline ExecCtx& exec_ctx() { return t_exec_ctx; }
 
 /// Installs an event's context for the duration of its action and restores
 /// the previous one even when the action throws, so a failed event can never
@@ -137,7 +141,6 @@ class ActiveCounter {
 
 /// Execution statistics, for perf reports and the scaling bench.
 struct EngineReport {
-  std::string kind;      ///< "serial" or "parallel"
   int threads = 1;
   Cycle lookahead = 0;
   u64 events = 0;
@@ -250,8 +253,9 @@ class Engine {
   virtual void advance_to(Cycle t) = 0;
 
   /// Run until `counter` reads zero; now() ends at the time of the event
-  /// that zeroed it.  Returns false (stopping) if the queue empties first --
-  /// the signature of a stall.
+  /// that zeroed it (with more than one thread, at the latest event of the
+  /// window that held it, under one lookahead later).  Returns false
+  /// (stopping) if the queue empties first -- the signature of a stall.
   virtual bool drain(const ActiveCounter& counter) = 0;
 
   virtual std::size_t pending_events() const = 0;
@@ -266,8 +270,8 @@ class Engine {
   virtual EngineReport report() const = 0;
 
   /// Capture now() plus every rank's (scheduled, executed, digest) stream.
-  /// Restored via restore_clock() -- possibly on the other implementation or
-  /// at a different thread count -- the digest continues bit-identically.
+  /// Restored via restore_clock() -- possibly at a different thread count --
+  /// the digest continues bit-identically.
   virtual EngineClockState capture_clock() const = 0;
 
   /// Install captured clock state on a fresh engine.  Throws
@@ -313,54 +317,6 @@ class EngineRef {
  private:
   Engine* engine_ = nullptr;
   Affinity affinity_ = kHostAffinity;
-};
-
-/// The reference implementation: one priority queue, one thread.
-class SerialEngine final : public Engine {
- public:
-  void schedule_at_on(Affinity dest, Cycle t, Action fn) override;
-  bool step() override;
-  Cycle run_until_idle() override;
-  void run_until(Cycle t) override;
-  void advance_to(Cycle t) override;
-  bool drain(const ActiveCounter& counter) override;
-  std::size_t pending_events() const override { return queue_.size(); }
-  u64 events_executed() const override { return events_; }
-  u64 trace_digest() const override;
-  EngineReport report() const override;
-  EngineClockState capture_clock() const override;
-  void restore_clock(const EngineClockState& state) override;
-
- private:
-  struct Event {
-    Cycle time;
-    u32 dest_rank;
-    u32 src_rank;
-    u64 seq;
-    Action fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      if (a.dest_rank != b.dest_rank) return a.dest_rank > b.dest_rank;
-      if (a.src_rank != b.src_rank) return a.src_rank > b.src_rank;
-      return a.seq > b.seq;
-    }
-  };
-  /// Per-rank bookkeeping: schedule counter as a source, execution count and
-  /// order digest as a destination.
-  struct Stream {
-    u64 scheduled = 0;
-    u64 executed = 0;
-    u64 digest = detail::kFnvOffset;
-  };
-
-  Stream& stream(u32 rank);
-
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::vector<Stream> streams_;
-  u64 events_ = 0;
-  detail::ActionAllocStats alloc_base_ = detail::action_alloc_stats();
 };
 
 /// Worker-thread count from QCDOC_SIM_THREADS (default 1, clamped to

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -84,7 +85,7 @@ class EventFn {
   }
 
   EventFn(EventFn&& o) noexcept : heap_(o.heap_), ops_(o.ops_) {
-    if (ops_ != nullptr && heap_ == nullptr) ops_->relocate(buf_, o.buf_);
+    if (ops_ != nullptr && heap_ == nullptr) relocate_from(o);
     o.heap_ = nullptr;
     o.ops_ = nullptr;
   }
@@ -94,7 +95,7 @@ class EventFn {
       reset();
       heap_ = o.heap_;
       ops_ = o.ops_;
-      if (ops_ != nullptr && heap_ == nullptr) ops_->relocate(buf_, o.buf_);
+      if (ops_ != nullptr && heap_ == nullptr) relocate_from(o);
       o.heap_ = nullptr;
       o.ops_ = nullptr;
     }
@@ -108,7 +109,7 @@ class EventFn {
 
   void reset() noexcept {
     if (ops_ == nullptr) return;
-    ops_->destroy(target());
+    if (ops_->destroy != nullptr) ops_->destroy(target());
     if (heap_ != nullptr) {
       detail::action_free(heap_, ops_->size);
       heap_ = nullptr;
@@ -125,8 +126,11 @@ class EventFn {
     void (*call)(void*);
     /// Move-construct the target from `src` into `dst`, then destroy the
     /// source.  Only ever used for inline targets, which are restricted to
-    /// nothrow-move-constructible types.
+    /// nothrow-move-constructible types.  Null for trivially copyable
+    /// targets (the usual pointers-and-integers capture): those relocate
+    /// with a plain copy of the inline buffer, no indirect call.
     void (*relocate)(void* dst, void* src) noexcept;
+    /// Null for trivially destructible targets.
     void (*destroy)(void*) noexcept;
     std::size_t size;  ///< allocation size for heap targets
   };
@@ -134,16 +138,30 @@ class EventFn {
   template <typename D>
   static constexpr Ops kOps{
       [](void* p) { (*static_cast<D*>(p))(); },
-      [](void* dst, void* src) noexcept {
-        ::new (dst) D(std::move(*static_cast<D*>(src)));
-        static_cast<D*>(src)->~D();
-      },
-      [](void* p) noexcept { static_cast<D*>(p)->~D(); },
+      std::is_trivially_copyable_v<D>
+          ? nullptr
+          : +[](void* dst, void* src) noexcept {
+              ::new (dst) D(std::move(*static_cast<D*>(src)));
+              static_cast<D*>(src)->~D();
+            },
+      std::is_trivially_destructible_v<D>
+          ? nullptr
+          : +[](void* p) noexcept { static_cast<D*>(p)->~D(); },
       sizeof(D)};
+
+  void relocate_from(EventFn& o) noexcept {
+    if (ops_->relocate == nullptr) {
+      std::memcpy(buf_, o.buf_, kInlineBytes);
+    } else {
+      ops_->relocate(buf_, o.buf_);
+    }
+  }
 
   void* target() noexcept { return heap_ != nullptr ? heap_ : buf_; }
 
-  alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
+  // Zero-initialized so a trivial relocation never copies indeterminate
+  // bytes past a small target.
+  alignas(std::max_align_t) unsigned char buf_[kInlineBytes]{};
   void* heap_ = nullptr;
   const Ops* ops_ = nullptr;
 };

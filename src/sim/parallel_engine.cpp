@@ -157,16 +157,9 @@ void ParallelEngine::schedule_at_on(Affinity dest, Cycle t, Action fn) {
   push_serial(dest_rank, std::move(ev));
 }
 
-void ParallelEngine::push_serial(u32 dest_rank, QueuedEvent ev) {
-  RankQ& rq = ranks_[dest_rank];
-  if (index_valid_) {
-    const EventKey k{ev.time, ev.src_rank, ev.seq};
-    if (rq.q.empty() || k < rq.q.min_key()) {
-      index_.push(HeadRef{ev.time, dest_rank, ev.src_rank, ev.seq});
-    }
-  }
+void ParallelEngine::push_serial(u32 dest_rank, QueuedEvent&& ev) {
   const Cycle t = ev.time;
-  if (rq.q.push(std::move(ev))) {
+  if (ranks_[dest_rank].q.push(std::move(ev))) {
     // The event became its rank's new head: cover it with a shard-heap
     // entry, and -- when a single-shard fast-forward is running -- tighten
     // the foreign-event bound it must respect.
@@ -177,32 +170,6 @@ void ParallelEngine::push_serial(u32 dest_rank, QueuedEvent ev) {
       serial_foreign_min_ = t;
     }
   }
-}
-
-void ParallelEngine::rebuild_index() {
-  index_ = {};
-  for (u32 r = 0; r < ranks_.size(); ++r) {
-    const RankQ& rq = ranks_[r];
-    if (rq.q.empty()) continue;
-    const EventKey k = rq.q.min_key();
-    index_.push(HeadRef{k.time, r, k.src_rank, k.seq});
-  }
-  index_valid_ = true;
-}
-
-u32 ParallelEngine::pop_valid_head() {
-  while (!index_.empty()) {
-    const HeadRef h = index_.top();
-    const RankQ& rq = ranks_[h.dest_rank];
-    if (!rq.q.empty()) {
-      const EventKey k = rq.q.min_key();
-      if (k.time == h.time && k.src_rank == h.src_rank && k.seq == h.seq) {
-        return h.dest_rank;
-      }
-    }
-    index_.pop();  // stale: that event was executed or displaced
-  }
-  return static_cast<u32>(ranks_.size());
 }
 
 void ParallelEngine::exec_event(u32 rank, QueuedEvent ev) {
@@ -223,27 +190,39 @@ void ParallelEngine::exec_event(u32 rank, QueuedEvent ev) {
   } else {
     ++executed_total_;
   }
-  const detail::ScopedExecCtx ctx(this, ev.time, detail::rank_affinity(rank),
-                                  detail::rank_affinity(ev.src_rank), ev.seq);
+  // The caller's slice holds a ScopedExecCtx, so each event only
+  // overwrites the context and the slice restores it once at the end.
+  detail::exec_ctx() = {this, ev.time, detail::rank_affinity(rank),
+                        detail::rank_affinity(ev.src_rank), ev.seq};
   ev.fn();
 }
 
 bool ParallelEngine::step() {
   check_not_in_event();
-  if (!index_valid_) rebuild_index();
-  const u32 rank = pop_valid_head();
-  if (rank >= ranks_.size()) return false;
-  index_.pop();
-  RankQ& rq = ranks_[rank];
-  const Cycle popped_t = rq.q.min_time();
+  // The globally next event is the head of the rank at the smallest
+  // (time, rank) across the shard heaps; its calendar queue settles the
+  // (src, seq) tie-break.  The heap entry stays: it is still live if the
+  // rank has more events at this time, and dropped lazily if not.
+  int best = -1;
+  HeadPos head{kNoEvent, 0};
+  for (int w = 0; w < cfg_.threads; ++w) {
+    if (shard_top(w) == kNoEvent) continue;
+    const HeadPos hp = slots_[static_cast<std::size_t>(w)].heap.front();
+    if (best < 0 || HeadPosAfter{}(head, hp)) {
+      best = w;
+      head = hp;
+    }
+  }
+  if (best < 0) return false;
+  RankQ& rq = ranks_[head.rank];
   QueuedEvent ev = rq.q.pop_min();
   if (ev.time > now_) now_ = ev.time;
-  exec_event(rank, std::move(ev));
-  if (!rq.q.empty()) {
-    const EventKey k = rq.q.min_key();
-    index_.push(HeadRef{k.time, rank, k.src_rank, k.seq});
-    if (k.time != popped_t) shard_push_entry(rank, k.time);
+  {
+    const detail::ScopedExecCtx slice(this, now_, kHostAffinity);
+    exec_event(head.rank, std::move(ev));
   }
+  const Cycle m = rq.q.min_time();
+  if (m != kNoEvent && m != head.time) shard_push_entry(head.rank, m);
   return true;
 }
 
@@ -279,12 +258,14 @@ bool ParallelEngine::run_slice(Cycle limit, const ActiveCounter* stop) {
 
 void ParallelEngine::run_host_slice(Cycle t, const ActiveCounter* stop) {
   ++windows_host_;
-  index_valid_ = false;
   RankQ& host = ranks_[0];
-  while (host.q.min_time() == t) {
-    if (stop != nullptr && stop->value() == 0) break;
-    if (t > now_) now_ = t;
-    exec_event(0, host.q.pop_min());
+  {
+    const detail::ScopedExecCtx slice(this, now_, kHostAffinity);
+    while (host.q.min_time() == t) {
+      if (stop != nullptr && stop->value() == 0) break;
+      if (t > now_) now_ = t;
+      exec_event(0, host.q.pop_min());
+    }
   }
   const Cycle m = host.q.min_time();
   if (m != kNoEvent && m != t) shard_push_entry(0, m);
@@ -293,7 +274,6 @@ void ParallelEngine::run_host_slice(Cycle t, const ActiveCounter* stop) {
 void ParallelEngine::run_shard_serial(int w, Cycle limit,
                                       const ActiveCounter* stop) {
   ++windows_serial_;
-  index_valid_ = false;
   auto& heap = slots_[static_cast<std::size_t>(w)].heap;
   // Earliest pending event on any foreign shard.  The fronts are live
   // (global_min() cleansed them) and while this shard runs alone only its
@@ -306,6 +286,7 @@ void ParallelEngine::run_shard_serial(int w, Cycle limit,
   }
   serial_shard_ = w;
   serial_foreign_min_ = fmin;
+  const detail::ScopedExecCtx slice(this, now_, kHostAffinity);
   bool stopped = false;
   while (!stopped) {
     if (stop != nullptr && stop->value() == 0) break;
@@ -346,7 +327,6 @@ void ParallelEngine::run_shard_serial(int w, Cycle limit,
 
 void ParallelEngine::run_window_parallel(Cycle end) {
   ++windows_parallel_;
-  index_valid_ = false;
   win_end_ = end;
   done_count_.store(0, std::memory_order_relaxed);
   go_gen_.fetch_add(1, std::memory_order_release);
@@ -418,6 +398,7 @@ void ParallelEngine::process_shard(int w) {
   slot.window_pushed = 0;
   slot.window_executed = 0;
   try {
+    const detail::ScopedExecCtx slice(this, win_end_, kHostAffinity);
     auto& heap = slot.heap;
     for (;;) {
       // Cleanse the heap top down to a live head inside the window.
@@ -481,10 +462,11 @@ bool ParallelEngine::drain(const ActiveCounter& counter) {
   while (counter.value() != 0) {
     if (!run_slice(kNoEvent, &counter)) return false;  // stalled
   }
-  // The serial engine stops on the exact event that zeroed the counter; a
-  // parallel window may run up to lookahead-1 cycles of trailing traffic
-  // (acks, landings already committed) past it.  The clock lands on the
-  // zero-crossing either way.
+  // A single-shard slice stops on the exact event that zeroed the counter,
+  // so the clock lands on the zero crossing.  A parallel window cannot stop
+  // mid-window: it runs its trailing traffic (acks, landings already
+  // committed) to the end, and the clock stays on its latest event, less
+  // than one lookahead past the crossing.
   now_ = std::max(now_, counter.last_zero_at());
   return true;
 }
@@ -547,12 +529,10 @@ void ParallelEngine::restore_clock(const EngineClockState& state) {
     rq.last_exec = state.now;
     pushed_total_ += s.scheduled;
   }
-  index_valid_ = false;
 }
 
 EngineReport ParallelEngine::report() const {
   EngineReport rep;
-  rep.kind = "parallel";
   rep.threads = cfg_.threads;
   rep.lookahead = cfg_.lookahead;
   rep.events = events_executed();

@@ -1,10 +1,12 @@
-// Conservative parallel discrete-event engine (see engine.h for the shared
-// execution-order contract).
+// The simulation engine: conservative parallel discrete-event execution
+// over per-node calendar queues (see engine.h for the shared
+// execution-order contract).  It is the only engine the machine runs on, at
+// every thread count.
 //
-// Nodes of the 6-d torus are sharded across worker threads, each owning a
-// contiguous block of per-node calendar queues (calendar_queue.h).
-// Execution proceeds in adaptive slices chosen from the pending-event
-// picture at the global minimum time T:
+// Nodes of the 6-d torus are sharded across `threads` shards, each owning a
+// contiguous block of per-node calendar queues (calendar_queue.h) and, past
+// the first, a worker thread.  Execution proceeds in adaptive slices chosen
+// from the pending-event picture at the global minimum time T:
 //
 //   - Host slice: the earliest pending event is a host event (rank 0).
 //     The coordinator runs every host event at T inline, in exact key
@@ -18,10 +20,12 @@
 //     the 16-bit minimum frame plus the wire time of flight, so
 //     L = min_frame_bits + wire_delay_cycles).
 //   - Single-shard fast-forward: only one shard is occupied (an idle
-//     machine with a lone scrubber, a single hot node, threads == 1).  The
-//     coordinator runs that shard serially with no barrier at all, as far
-//     as min(next host event, earliest foreign-shard event) -- which
-//     coalesces what would otherwise be thousands of 18-cycle windows.
+//     machine with a lone scrubber, a single hot node -- and always at
+//     threads == 1, where one shard holds every rank, host included).  The
+//     coordinator runs that shard in exact key order with no barrier and
+//     no outbox, as far as min(next host event, earliest foreign-shard
+//     event) -- which coalesces what would otherwise be thousands of
+//     18-cycle windows.
 //
 // Each shard keeps a lazy min-heap of (time, rank) head positions so
 // finding its next event is O(log ranks-with-events) instead of a scan of
@@ -29,8 +33,8 @@
 // the live queue head.  Cross-node schedules made inside a parallel window
 // are buffered in per-worker outboxes and merged at the barrier; because
 // every queue orders by the deterministic key, the merge order is
-// irrelevant and the execution order is bit-identical to the serial
-// engine's.
+// irrelevant and the execution order is bit-identical at every thread
+// count.
 //
 // The cross-node lookahead contract is enforced uniformly: a node event
 // scheduling onto another node closer than L cycles throws, on every
@@ -51,14 +55,14 @@
 namespace qcdoc::sim {
 
 struct ParallelConfig {
-  int threads = 2;     ///< total, including the coordinating caller
+  int threads = 1;     ///< shards: the caller runs one, a worker each other
   Cycle lookahead = 1; ///< window length; no cross-node effect sooner
   int num_nodes = 0;   ///< valid node affinities are [0, num_nodes)
 };
 
 class ParallelEngine final : public Engine {
  public:
-  explicit ParallelEngine(ParallelConfig cfg);
+  explicit ParallelEngine(ParallelConfig cfg = {});
   ~ParallelEngine() override;
 
   void schedule_at_on(Affinity dest, Cycle t, Action fn) override;
@@ -91,27 +95,10 @@ class ParallelEngine final : public Engine {
     Cycle last_exec = 0;  ///< monotonicity check: catches ordering bugs loudly
   };
 
-  /// Reference to a rank queue's head, kept in the coordinator's lazy global
-  /// index for exact-total-order execution (step()).  Entries are validated
-  /// against the live queue head on pop; stale ones are discarded.
-  struct HeadRef {
-    Cycle time;
-    u32 dest_rank;
-    u32 src_rank;
-    u64 seq;
-  };
-  struct HeadLater {
-    bool operator()(const HeadRef& a, const HeadRef& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      if (a.dest_rank != b.dest_rank) return a.dest_rank > b.dest_rank;
-      if (a.src_rank != b.src_rank) return a.src_rank > b.src_rank;
-      return a.seq > b.seq;
-    }
-  };
-
-  /// Shard-heap entry: the head position of one rank queue.  Same lazy
-  /// validation scheme as HeadRef, but per shard and by (time, rank) only --
-  /// the within-rank tie-break lives in the calendar queue itself.
+  /// Shard-heap entry: the head position of one rank queue.  Entries are
+  /// lazy: each is checked against the live queue head when it reaches the
+  /// top and dropped if stale.  Ordered by (time, rank) only -- the
+  /// within-rank tie-break lives in the calendar queue itself.
   struct HeadPos {
     Cycle time;
     u32 rank;
@@ -152,23 +139,13 @@ class ParallelEngine final : public Engine {
   void run_window_parallel(Cycle end);
   void process_shard(int w);
   void exec_event(u32 rank, QueuedEvent ev);
-  void push_serial(u32 dest_rank, QueuedEvent ev);
-  void rebuild_index();
-  /// Pop index entries until one matches a live queue head; returns the
-  /// destination rank or kNoEvent-like sentinel (ranks_.size()) when empty.
-  u32 pop_valid_head();
+  void push_serial(u32 dest_rank, QueuedEvent&& ev);
   void worker_main(int w);
 
   ParallelConfig cfg_;
   std::vector<RankQ> ranks_;
   std::vector<u32> shard_begin_;  ///< shard w owns ranks [w, w+1) bounds
   std::vector<u32> rank_owner_;   ///< rank -> owning shard
-
-  // Coordinator-side lazy index over rank-queue heads, used whenever events
-  // must run in exact global order (step()).  Invalidated by every slice,
-  // rebuilt on demand.
-  std::priority_queue<HeadRef, std::vector<HeadRef>, HeadLater> index_;
-  bool index_valid_ = false;
 
   // Window state, written by the coordinator before releasing a generation.
   Cycle win_end_ = 0;

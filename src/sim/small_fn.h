@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -52,7 +53,7 @@ class SmallFn<R(Args...)> {
   }
 
   SmallFn(SmallFn&& o) noexcept : heap_(o.heap_), ops_(o.ops_) {
-    if (ops_ != nullptr && heap_ == nullptr) ops_->relocate(buf_, o.buf_);
+    if (ops_ != nullptr && heap_ == nullptr) relocate_from(o);
     o.heap_ = nullptr;
     o.ops_ = nullptr;
   }
@@ -62,7 +63,7 @@ class SmallFn<R(Args...)> {
       reset();
       heap_ = o.heap_;
       ops_ = o.ops_;
-      if (ops_ != nullptr && heap_ == nullptr) ops_->relocate(buf_, o.buf_);
+      if (ops_ != nullptr && heap_ == nullptr) relocate_from(o);
       o.heap_ = nullptr;
       o.ops_ = nullptr;
     }
@@ -76,7 +77,7 @@ class SmallFn<R(Args...)> {
 
   void reset() noexcept {
     if (ops_ == nullptr) return;
-    ops_->destroy(target());
+    if (ops_->destroy != nullptr) ops_->destroy(target());
     if (heap_ != nullptr) {
       detail::action_free(heap_, ops_->size);
       heap_ = nullptr;
@@ -91,6 +92,7 @@ class SmallFn<R(Args...)> {
   }
 
  private:
+  /// Same layout and trivial-target shortcuts as EventFn::Ops.
   struct Ops {
     R (*call)(void*, Args...);
     void (*relocate)(void* dst, void* src) noexcept;
@@ -103,16 +105,30 @@ class SmallFn<R(Args...)> {
       [](void* p, Args... args) -> R {
         return (*static_cast<D*>(p))(std::forward<Args>(args)...);
       },
-      [](void* dst, void* src) noexcept {
-        ::new (dst) D(std::move(*static_cast<D*>(src)));
-        static_cast<D*>(src)->~D();
-      },
-      [](void* p) noexcept { static_cast<D*>(p)->~D(); },
+      std::is_trivially_copyable_v<D>
+          ? nullptr
+          : +[](void* dst, void* src) noexcept {
+              ::new (dst) D(std::move(*static_cast<D*>(src)));
+              static_cast<D*>(src)->~D();
+            },
+      std::is_trivially_destructible_v<D>
+          ? nullptr
+          : +[](void* p) noexcept { static_cast<D*>(p)->~D(); },
       sizeof(D)};
+
+  void relocate_from(SmallFn& o) noexcept {
+    if (ops_->relocate == nullptr) {
+      std::memcpy(buf_, o.buf_, kInlineBytes);
+    } else {
+      ops_->relocate(buf_, o.buf_);
+    }
+  }
 
   void* target() noexcept { return heap_ != nullptr ? heap_ : buf_; }
 
-  alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
+  // Zero-initialized so a trivial relocation never copies indeterminate
+  // bytes past a small target.
+  alignas(std::max_align_t) unsigned char buf_[kInlineBytes]{};
   void* heap_ = nullptr;
   const Ops* ops_ = nullptr;
 };

@@ -1,17 +1,23 @@
 // EventFn unit tests plus the counting-allocator gate: this binary replaces
-// the global operator new/delete with counting versions, warms both engines
-// on a synthetic cross-node workload, and then asserts that re-running the
-// identical workload performs ZERO heap allocations -- the per-event
-// std::function allocation the event-path overhaul removed must not creep
-// back in anywhere on the hot path (actions, queue buckets, outboxes,
-// shard heaps).
+// the global operator new/delete with counting versions, warms the engine
+// at 1, 2 and 4 threads on a synthetic cross-node workload with HSSL link
+// traffic, and then asserts that re-running the identical workload
+// performs ZERO heap allocations and draws nothing from the action pool --
+// the per-event std::function allocation the event-path overhaul removed,
+// and the per-frame pooled delivery action the link layer used to carry,
+// must not creep back in anywhere on the hot path (actions, calendar
+// slabs, outboxes, shard heaps, link queues).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <vector>
 
-#include "sim/engine.h"
+#include "common/rng.h"
+#include "hssl/hssl.h"
 #include "sim/event_fn.h"
 #include "sim/parallel_engine.h"
 
@@ -166,37 +172,87 @@ void hop(Engine* eng, u32 node, int remaining) {
                });
 }
 
-void run_round(Engine& eng) {
+/// Link traffic: node n streams 72-bit frames to node n+1 over its own
+/// HSSL wire, each delivery callback carrying an SCU-sized capture (a
+/// pointer plus 40 bytes), the per-word path of a halo exchange.
+struct LinkRing {
+  static constexpr int kFrames = 40;
+
+  std::vector<std::unique_ptr<hssl::Hssl>> wires;
+  std::vector<int> to_send;    // per wire, touched by its sender only
+  std::vector<u64> delivered;  // per wire, touched by its receiver only
+
+  explicit LinkRing(Engine& eng)
+      : to_send(kNodes, 0), delivered(kNodes, 0) {
+    hssl::HsslConfig cfg;
+    cfg.training_cycles = 16;
+    for (u32 n = 0; n < kNodes; ++n) {
+      wires.push_back(std::make_unique<hssl::Hssl>(EngineRef(&eng, n), cfg,
+                                                   Rng(n + 1), nullptr));
+      wires[n]->set_delivery_affinity((n + 1) % kNodes);
+      wires[n]->set_ready_callback([this, n] { send(n); });
+      wires[n]->power_on();
+    }
+    eng.run_until_idle();
+  }
+
+  void send(u32 n) {
+    if (to_send[n] == 0) return;
+    --to_send[n];
+    const std::array<u64, 4> image{n, 1, 2, 3};
+    (void)wires[n]->transmit(72, [this, n, image](u64, int) {
+      delivered[n] += image[0] + 1;
+    });
+  }
+
+  void start(Engine& eng) {
+    for (u32 n = 0; n < kNodes; ++n) {
+      to_send[n] = kFrames;
+      EngineRef(&eng, n).schedule(1 + n, [this, n] { send(n); });
+    }
+  }
+};
+
+void run_round(Engine& eng, LinkRing& links) {
   for (u32 n = 0; n < kNodes; ++n) {
     EngineRef ref(&eng, n);
     ref.schedule(1 + n, [&eng, n] { hop(&eng, n, 200); });
   }
+  links.start(eng);
   eng.run_until_idle();
 }
 
 void expect_steady_state_alloc_free(Engine& eng, const char* what) {
-  // Warm-up sizes every queue, bucket, outbox and shard heap to the
-  // workload's high-water mark.  The calendar wheels need several rounds:
-  // bucket index is time mod 64 and each round starts at a different
-  // residue (the per-round start shift cycles with period 8), so only
-  // after a full cycle has every reachable (rank, bucket) pair grown to
-  // working capacity.
-  for (int round = 0; round < 12; ++round) run_round(eng);
+  LinkRing links(eng);
+  // Warm-up grows every calendar slab, overflow heap, outbox, shard heap
+  // and link queue to the workload's high-water mark; each round starts at
+  // a different time residue, so it takes a few rounds to see them all.
+  for (int round = 0; round < 12; ++round) run_round(eng, links);
   const u64 before = heap_allocs();
   const detail::ActionAllocStats pool_before = detail::action_alloc_stats();
-  run_round(eng);
-  run_round(eng);
+  run_round(eng, links);
+  run_round(eng, links);
+  const detail::ActionAllocStats pool_after = detail::action_alloc_stats();
   EXPECT_EQ(heap_allocs() - before, 0u)
       << what << ": steady-state rounds must not allocate";
-  EXPECT_EQ(detail::action_alloc_stats().heap_blocks() -
-                pool_before.heap_blocks(),
-            0u)
+  EXPECT_EQ(pool_after.heap_blocks() - pool_before.heap_blocks(), 0u)
       << what << ": action pool must not grow in steady state";
+  // Stricter still: no event or link callback may even borrow a pooled
+  // block -- every per-frame capture must fit inline.
+  EXPECT_EQ(pool_after.pool_reuses - pool_before.pool_reuses, 0u)
+      << what << ": steady-state actions must not touch the action pool";
+  for (u32 n = 0; n < kNodes; ++n) {
+    EXPECT_EQ(links.delivered[n], 14u * LinkRing::kFrames * (n + 1))
+        << what << ": wire " << n;
+  }
 }
 
-TEST(AllocGate, SerialEngineSteadyStateAllocatesNothing) {
-  SerialEngine eng;
-  expect_steady_state_alloc_free(eng, "serial");
+TEST(AllocGate, OneThreadSteadyStateAllocatesNothing) {
+  ParallelConfig cfg;
+  cfg.lookahead = kLookahead;
+  cfg.num_nodes = static_cast<int>(kNodes);
+  ParallelEngine eng(cfg);
+  expect_steady_state_alloc_free(eng, "1 thread");
 }
 
 TEST(AllocGate, ParallelEngineSteadyStateAllocatesNothing) {
@@ -205,7 +261,7 @@ TEST(AllocGate, ParallelEngineSteadyStateAllocatesNothing) {
   cfg.lookahead = kLookahead;
   cfg.num_nodes = static_cast<int>(kNodes);
   ParallelEngine eng(cfg);
-  expect_steady_state_alloc_free(eng, "parallel 2t");
+  expect_steady_state_alloc_free(eng, "2 threads");
 }
 
 TEST(AllocGate, ParallelEngineFourThreadsSteadyStateAllocatesNothing) {
@@ -214,7 +270,7 @@ TEST(AllocGate, ParallelEngineFourThreadsSteadyStateAllocatesNothing) {
   cfg.lookahead = kLookahead;
   cfg.num_nodes = static_cast<int>(kNodes);
   ParallelEngine eng(cfg);
-  expect_steady_state_alloc_free(eng, "parallel 4t");
+  expect_steady_state_alloc_free(eng, "4 threads");
 }
 
 }  // namespace

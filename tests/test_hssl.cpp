@@ -6,13 +6,13 @@
 
 #include "common/rng.h"
 #include "hssl/hssl.h"
-#include "sim/engine.h"
+#include "sim/parallel_engine.h"
 
 namespace qcdoc::hssl {
 namespace {
 
 struct Wire {
-  sim::SerialEngine engine;
+  sim::ParallelEngine engine;
   sim::StatSet stats;
   HsslConfig cfg;
   std::unique_ptr<Hssl> link;

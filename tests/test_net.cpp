@@ -3,6 +3,7 @@
 #include "net/cluster_net.h"
 #include "net/ethernet.h"
 #include "net/mesh_net.h"
+#include "sim/parallel_engine.h"
 
 namespace qcdoc::net {
 namespace {
@@ -15,7 +16,7 @@ MeshConfig small_mesh(std::array<int, 6> extents) {
 }
 
 TEST(MeshNet, AllLinksTrainAfterPowerOn) {
-  sim::SerialEngine engine;
+  sim::ParallelEngine engine({.num_nodes = 8});
   MeshNet mesh(&engine, small_mesh({2, 2, 2, 1, 1, 1}));
   EXPECT_FALSE(mesh.all_trained());
   mesh.power_on();
@@ -25,7 +26,7 @@ TEST(MeshNet, AllLinksTrainAfterPowerOn) {
 }
 
 TEST(MeshNet, SupervisorPacketCrossesTheMesh) {
-  sim::SerialEngine engine;
+  sim::ParallelEngine engine({.num_nodes = 4});
   MeshNet mesh(&engine, small_mesh({2, 2, 1, 1, 1, 1}));
   mesh.power_on();
   engine.run_until_idle();
@@ -47,7 +48,7 @@ TEST(MeshNet, SupervisorPacketCrossesTheMesh) {
 }
 
 TEST(MeshNet, DmaBetweenNeighborsThroughTheTorus) {
-  sim::SerialEngine engine;
+  sim::ParallelEngine engine({.num_nodes = 8});
   MeshNet mesh(&engine, small_mesh({4, 2, 1, 1, 1, 1}));
   mesh.power_on();
   engine.run_until_idle();
@@ -70,7 +71,7 @@ TEST(MeshNet, DmaBetweenNeighborsThroughTheTorus) {
 }
 
 TEST(MeshNet, ChecksumVerificationDetectsTampering) {
-  sim::SerialEngine engine;
+  sim::ParallelEngine engine({.num_nodes = 2});
   MeshNet mesh(&engine, small_mesh({2, 1, 1, 1, 1, 1}));
   mesh.power_on();
   engine.run_until_idle();
@@ -107,7 +108,7 @@ TEST(MeshNet, ChecksumVerificationDetectsTampering) {
 }
 
 TEST(MeshNet, PartitionInterruptFloodsWholeMachine) {
-  sim::SerialEngine engine;
+  sim::ParallelEngine engine({.num_nodes = 16});
   auto cfg = small_mesh({2, 2, 2, 2, 1, 1});
   cfg.pirq_window_cycles = 4096;
   MeshNet mesh(&engine, cfg);
@@ -127,7 +128,7 @@ TEST(MeshNet, PartitionInterruptFloodsWholeMachine) {
 }
 
 TEST(MeshNet, PartitionInterruptDeliveredWithinWindows) {
-  sim::SerialEngine engine;
+  sim::ParallelEngine engine({.num_nodes = 8});
   auto cfg = small_mesh({2, 2, 2, 1, 1, 1});
   cfg.pirq_window_cycles = 8192;
   MeshNet mesh(&engine, cfg);
@@ -149,7 +150,7 @@ TEST(MeshNet, PartitionInterruptDeliveredWithinWindows) {
 }
 
 TEST(EthernetTree, PacketDeliveryAndAccounting) {
-  sim::SerialEngine engine;
+  sim::ParallelEngine engine;
   EthernetConfig cfg;
   EthernetTree eth(&engine, cfg, 4);
   int delivered = 0;
@@ -165,7 +166,7 @@ TEST(EthernetTree, PacketDeliveryAndAccounting) {
 }
 
 TEST(EthernetTree, HostLinkIsSharedNodeLinksAreNot) {
-  sim::SerialEngine engine;
+  sim::ParallelEngine engine;
   EthernetConfig cfg;
   cfg.host_links = 1;
   EthernetTree eth(&engine, cfg, 2);
@@ -213,7 +214,7 @@ namespace qcdoc::net {
 namespace {
 
 TEST(MeshNet, QuiescenceCounterMatchesExhaustiveScan) {
-  sim::SerialEngine engine;
+  sim::ParallelEngine engine({.num_nodes = 4});
   MeshNet mesh(&engine, small_mesh({2, 2, 1, 1, 1, 1}));
   mesh.power_on();
   engine.run_until_idle();
@@ -242,7 +243,7 @@ class ErrorRateSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(ErrorRateSweep, DataIntegrityOrChecksumMismatch) {
   const double ber = GetParam();
-  sim::SerialEngine engine;
+  sim::ParallelEngine engine({.num_nodes = 2});
   auto cfg = small_mesh({2, 1, 1, 1, 1, 1});
   cfg.hssl.bit_error_rate = ber;
   MeshNet mesh(&engine, cfg);

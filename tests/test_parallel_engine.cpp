@@ -1,15 +1,17 @@
-// Contract tests for the parallel simulation engine: bit-identical order
-// with the serial engine, loud failure on lookahead violations, and the
-// drain/step/advance semantics both engines must share (engine.h's
-// execution-order contract).
+// Contract tests for the simulation engine: bit-identical order with the
+// test-only reference engine (reference_engine.h) at 1, 2 and 4 threads,
+// loud failure on lookahead violations, and the drain/step/advance
+// semantics of engine.h's execution-order contract.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "machine/machine.h"
-#include "sim/engine.h"
+#include "reference_engine.h"
 #include "sim/parallel_engine.h"
 
 namespace qcdoc::sim {
@@ -63,8 +65,8 @@ RunResult run_workload(Engine& e, int nodes) {
 }
 
 TEST(ParallelEngine, BitIdenticalToSerialOnSyntheticWorkload) {
-  SerialEngine serial;
-  const RunResult ref = run_workload(serial, 8);
+  ReferenceEngine oracle;
+  const RunResult ref = run_workload(oracle, 8);
   ASSERT_GT(ref.events, 100u);
 
   for (const int threads : {1, 2, 4}) {
@@ -78,9 +80,9 @@ TEST(ParallelEngine, BitIdenticalToSerialOnSyntheticWorkload) {
 }
 
 TEST(ParallelEngine, StepByStepMatchesSerialEngine) {
-  SerialEngine serial;
+  ReferenceEngine oracle;
   ParallelEngine par(ParallelConfig{2, kLookahead, 4});
-  for (Engine* e : {static_cast<Engine*>(&serial), static_cast<Engine*>(&par)}) {
+  for (Engine* e : {static_cast<Engine*>(&oracle), static_cast<Engine*>(&par)}) {
     for (int i = 3; i >= 0; --i) {
       e->schedule_on(static_cast<Affinity>(i), static_cast<Cycle>(10 * i), [] {});
     }
@@ -88,19 +90,19 @@ TEST(ParallelEngine, StepByStepMatchesSerialEngine) {
   // step() must execute exactly one event in global key order on any engine.
   for (int i = 0; i < 4; ++i) {
     EXPECT_TRUE(par.step());
-    EXPECT_TRUE(serial.step());
-    EXPECT_EQ(par.now(), serial.now());
-    EXPECT_EQ(par.trace_digest(), serial.trace_digest());
+    EXPECT_TRUE(oracle.step());
+    EXPECT_EQ(par.now(), oracle.now());
+    EXPECT_EQ(par.trace_digest(), oracle.trace_digest());
   }
   EXPECT_FALSE(par.step());
-  EXPECT_FALSE(serial.step());
+  EXPECT_FALSE(oracle.step());
 }
 
 TEST(ParallelEngine, CrossNodeScheduleInsideLookaheadThrows) {
   ParallelEngine e(ParallelConfig{2, 10, 2});
   // Node 0 tries to poke node 1 after a single cycle -- faster than any
   // frame could physically arrive, and inside the current window.  The
-  // engine must fail loudly rather than silently diverge from serial order.
+  // engine must fail loudly rather than silently diverge from the key order.
   e.schedule_on(0, 0, [&e] { e.schedule_on(1, 1, [] {}); });
   EXPECT_THROW(e.run_until_idle(), std::logic_error);
 }
@@ -124,9 +126,9 @@ TEST(ParallelEngine, ReentrantSteppingThrows) {
 // Satellite contract: schedule_at into the past must be rejected with a
 // clear error on every engine, instead of corrupting the event order.
 TEST(EngineContract, ScheduleAtPastThrowsOnBothEngines) {
-  SerialEngine serial;
+  ReferenceEngine oracle;
   ParallelEngine par(ParallelConfig{2, 10, 2});
-  for (Engine* e : {static_cast<Engine*>(&serial), static_cast<Engine*>(&par)}) {
+  for (Engine* e : {static_cast<Engine*>(&oracle), static_cast<Engine*>(&par)}) {
     e->schedule_at(100, [] {});
     e->run_until_idle();
     ASSERT_EQ(e->now(), 100u);
@@ -145,9 +147,9 @@ TEST(EngineContract, ScheduleAtPastThrowsOnBothEngines) {
 }
 
 TEST(EngineContract, DrainStopsTheClockAtTheZeroingEvent) {
-  SerialEngine serial;
+  ReferenceEngine oracle;
   ParallelEngine par(ParallelConfig{2, 10, 2});
-  for (Engine* e : {static_cast<Engine*>(&serial), static_cast<Engine*>(&par)}) {
+  for (Engine* e : {static_cast<Engine*>(&oracle), static_cast<Engine*>(&par)}) {
     ActiveCounter c;
     c.increment();
     e->schedule_on(0, 50, [&] { c.decrement(e->now()); });
@@ -161,9 +163,9 @@ TEST(EngineContract, DrainStopsTheClockAtTheZeroingEvent) {
 }
 
 TEST(EngineContract, DrainReportsStallWhenQueueEmptiesFirst) {
-  SerialEngine serial;
+  ReferenceEngine oracle;
   ParallelEngine par(ParallelConfig{2, 10, 2});
-  for (Engine* e : {static_cast<Engine*>(&serial), static_cast<Engine*>(&par)}) {
+  for (Engine* e : {static_cast<Engine*>(&oracle), static_cast<Engine*>(&par)}) {
     ActiveCounter c;
     c.increment();
     e->schedule_on(0, 5, [] {});
@@ -172,9 +174,9 @@ TEST(EngineContract, DrainReportsStallWhenQueueEmptiesFirst) {
 }
 
 TEST(EngineContract, AdvanceToRefusesToSkipPendingEvents) {
-  SerialEngine serial;
+  ReferenceEngine oracle;
   ParallelEngine par(ParallelConfig{2, 10, 2});
-  for (Engine* e : {static_cast<Engine*>(&serial), static_cast<Engine*>(&par)}) {
+  for (Engine* e : {static_cast<Engine*>(&oracle), static_cast<Engine*>(&par)}) {
     e->schedule_at(10, [] {});
     EXPECT_THROW(e->advance_to(20), std::logic_error);
     e->run_until_idle();
@@ -187,7 +189,6 @@ TEST(ParallelEngine, ReportCountsWindowsAndShards) {
   ParallelEngine e(ParallelConfig{2, kLookahead, 8});
   run_workload(e, 8);
   const EngineReport r = e.report();
-  EXPECT_EQ(r.kind, "parallel");
   EXPECT_EQ(r.threads, 2);
   EXPECT_EQ(r.lookahead, kLookahead);
   EXPECT_GT(r.windows_parallel, 0u);
@@ -227,9 +228,9 @@ TEST(ParallelEngine, ReportPopulatesBarrierAndActionPoolCounters) {
 // must fast-forward that shard serially (no worker handoff, no barrier)
 // instead of running degenerate one-shard "parallel" windows.
 TEST(ParallelEngine, SingleShardBacklogFastForwardsSerially) {
-  SerialEngine serial;
+  ReferenceEngine oracle;
   ParallelEngine par(ParallelConfig{4, kLookahead, 8});
-  for (Engine* e : {static_cast<Engine*>(&serial), static_cast<Engine*>(&par)}) {
+  for (Engine* e : {static_cast<Engine*>(&oracle), static_cast<Engine*>(&par)}) {
     // A long self-rearming chain confined to node 2: every window sees
     // exactly one live shard.
     struct Chain {
@@ -243,8 +244,8 @@ TEST(ParallelEngine, SingleShardBacklogFastForwardsSerially) {
     e->schedule_on(2, 1, [&c] { c.fire(); });
     e->run_until_idle();
   }
-  EXPECT_EQ(par.trace_digest(), serial.trace_digest());
-  EXPECT_EQ(par.events_executed(), serial.events_executed());
+  EXPECT_EQ(par.trace_digest(), oracle.trace_digest());
+  EXPECT_EQ(par.events_executed(), oracle.events_executed());
   const EngineReport r = par.report();
   EXPECT_GT(r.windows_serial, 0u);
   EXPECT_EQ(r.windows_parallel, 0u)
@@ -253,7 +254,7 @@ TEST(ParallelEngine, SingleShardBacklogFastForwardsSerially) {
 
 // Host events must ride in their own seam slices (windows_host) without
 // demoting the surrounding node windows, and the mixed schedule must stay
-// bit-identical to the serial engine at every thread count.
+// bit-identical to the reference engine at every thread count.
 TEST(ParallelEngine, MixedHostNodeWorkloadBitIdenticalWithHostSlices) {
   struct Beat {
     Engine* e;
@@ -271,8 +272,8 @@ TEST(ParallelEngine, MixedHostNodeWorkloadBitIdenticalWithHostSlices) {
     EXPECT_EQ(beat.count, 40u);
     return std::pair<u64, u64>{e.trace_digest(), e.events_executed()};
   };
-  SerialEngine serial;
-  const auto ref = run_mixed(serial);
+  ReferenceEngine oracle;
+  const auto ref = run_mixed(oracle);
   for (const int threads : {1, 2, 4}) {
     ParallelEngine par(ParallelConfig{threads, kLookahead, 8});
     const auto got = run_mixed(par);
@@ -283,6 +284,193 @@ TEST(ParallelEngine, MixedHostNodeWorkloadBitIdenticalWithHostSlices) {
       EXPECT_GT(r.windows_parallel, 0u)
           << "host seams must not demote node windows (" << threads
           << " threads)";
+    }
+  }
+}
+
+// --- Randomized differential test against the reference engine ------------
+
+/// A seeded random schedule over `nodes` nodes plus the host.  Each event's
+/// children are a pure function of its id and of its own rank's state, so
+/// any engine that runs the same events in the same per-rank order builds
+/// the same logs.  The mix covers node self-schedules (zero delay
+/// included), cross-node schedules at the lookahead, node-to-host and
+/// host-to-host schedules at the same timestamp, host-to-node schedules,
+/// and far-future events that wait in the calendar's overflow heap.
+struct Chaos {
+  struct Exec {
+    Cycle time;
+    u64 id;
+    friend bool operator==(const Exec&, const Exec&) = default;
+  };
+
+  Engine* e;
+  u64 seed;
+  /// Node-to-host schedules at delay 0.  Legal except inside a parallel
+  /// window, so only 1-thread runs (which never open one) enable it.
+  bool zero_delay_host;
+  /// Also keep one log of every execution in global order: only for runs
+  /// where events never execute concurrently.
+  bool global_log;
+  std::vector<u64> next_id;              // per rank, touched by that rank
+  std::vector<int> budget;               // per rank, touched by that rank
+  std::vector<std::vector<Exec>> log;    // per rank, touched by that rank
+  std::vector<Exec> global;
+  ActiveCounter tokens;
+
+  Chaos(Engine* engine, int nodes, u64 s, bool zero_host, bool global_on)
+      : e(engine), seed(s), zero_delay_host(zero_host), global_log(global_on),
+        next_id(static_cast<std::size_t>(nodes) + 1, 0),
+        budget(static_cast<std::size_t>(nodes) + 1, 300),
+        log(static_cast<std::size_t>(nodes) + 1) {}
+
+  int nodes() const { return static_cast<int>(log.size()) - 1; }
+
+  /// Schedule a new event on `dest`; `src` is the rank scheduling it (the
+  /// running event's, or the host's outside events).
+  void spawn(u32 src, Affinity dest, Cycle delay, bool token = false) {
+    const u64 id = (u64{src} << 40) | next_id[src]++;
+    e->schedule_on(dest, delay,
+                   [this, dest, id, token] { fire(dest, id, token); });
+  }
+
+  void fire(Affinity self, u64 id, bool token) {
+    const u32 r = detail::affinity_rank(self);
+    const Exec x{e->now(), id};
+    log[r].push_back(x);
+    if (global_log) global.push_back(x);
+    if (token) tokens.decrement(e->now());
+    Rng rng(seed ^ (id * 0x9e3779b97f4a7c15ull));
+    const int kids = 1 + static_cast<int>(rng.next_below(2));
+    for (int k = 0; k < kids && budget[r] > 0; ++k) {
+      --budget[r];
+      const u64 kind = rng.next_below(8);
+      const Affinity other =
+          static_cast<Affinity>(rng.next_below(static_cast<u64>(nodes())));
+      const Cycle far = (Cycle{1} << 14) + rng.next_below(4096);
+      if (r == 0) {  // host event
+        if (kind < 3) {
+          spawn(r, kHostAffinity, 0);  // same-time host-to-host
+        } else if (kind < 7) {
+          spawn(r, other, rng.next_below(50));
+        } else {
+          spawn(r, other, far);
+        }
+      } else if (kind < 3) {
+        spawn(r, self, rng.next_below(40));
+      } else if (kind < 5) {
+        if (other != self) spawn(r, other, kLookahead + rng.next_below(60));
+      } else if (kind < 7) {
+        spawn(r, kHostAffinity,
+              zero_delay_host ? 0 : kLookahead + rng.next_below(30));
+      } else {
+        spawn(r, rng.next_below(2) == 0 ? self : other, far);
+      }
+    }
+  }
+
+  void seed_events() {
+    for (int i = 0; i < nodes(); ++i) {
+      spawn(0, static_cast<Affinity>(i), static_cast<Cycle>(i % 5));
+    }
+    spawn(0, kHostAffinity, 0);
+    spawn(0, kHostAffinity, 3);
+    spawn(0, static_cast<Affinity>(nodes() - 1), Cycle{1} << 15);
+  }
+
+  /// Arm `n` token events that drain() waits for.
+  void arm_tokens(int n) {
+    for (int i = 0; i < n; ++i) {
+      tokens.increment();
+      spawn(0, static_cast<Affinity>(i % nodes()),
+            100 + 37 * static_cast<Cycle>(i), /*token=*/true);
+    }
+  }
+};
+
+/// Drive `chaos` through every run entry point, calling `check(phase,
+/// exact)` after each; `exact` is false when a phase may legitimately run
+/// past the reference (a drain at more than one thread finishes its
+/// window).
+template <typename Check>
+void drive_chaos(Chaos& c, Check&& check) {
+  Engine& e = *c.e;
+  c.seed_events();
+  e.run_until(400);
+  check("run_until(400)", true);
+  for (int i = 0; i < 150; ++i) {
+    const bool more = e.step();
+    check(more ? "step" : "step (empty)", true);
+  }
+  e.run_until(e.now() + 3000);
+  check("run_until(+3000)", true);
+  c.arm_tokens(9);
+  const bool drained = e.drain(c.tokens);
+  check(drained ? "drain" : "drain (stalled)", false);
+  e.run_until_idle();
+  check("run_until_idle", true);
+}
+
+struct ChaosSnapshot {
+  Cycle now;
+  u64 events;
+  u64 digest;
+  std::size_t pending;
+  friend bool operator==(const ChaosSnapshot&, const ChaosSnapshot&) =
+      default;
+};
+
+ChaosSnapshot snapshot(const Engine& e) {
+  return {e.now(), e.events_executed(), e.trace_digest(), e.pending_events()};
+}
+
+TEST(EngineOracle, RandomSchedulesMatchReferenceAtEveryThreadCount) {
+  constexpr int kNodes = 6;
+  for (const u64 seed : {1ull, 2ull, 3ull, 17ull, 99ull, 4242ull}) {
+    for (const int threads : {1, 2, 4}) {
+      const bool one = threads == 1;
+      for (const bool zero_host : {false, true}) {
+        if (zero_host && !one) continue;
+        // Record the reference run phase by phase.
+        ReferenceEngine oracle;
+        Chaos ref(&oracle, kNodes, seed, zero_host, /*global_on=*/true);
+        std::vector<ChaosSnapshot> ref_snaps;
+        std::vector<std::vector<std::vector<Chaos::Exec>>> ref_logs;
+        std::vector<std::vector<Chaos::Exec>> ref_global;
+        drive_chaos(ref, [&](const char*, bool) {
+          ref_snaps.push_back(snapshot(oracle));
+          ref_logs.push_back(ref.log);
+          ref_global.push_back(ref.global);
+        });
+        ASSERT_GT(oracle.events_executed(), 1000u) << "seed " << seed;
+
+        ParallelEngine eng(ParallelConfig{threads, kLookahead, kNodes});
+        Chaos got(&eng, kNodes, seed, zero_host, /*global_on=*/one);
+        std::size_t phase = 0;
+        drive_chaos(got, [&](const char* what, bool exact) {
+          const ChaosSnapshot want = ref_snaps[phase];
+          const ChaosSnapshot have = snapshot(eng);
+          const std::string where = std::string(what) + " #" +
+                                    std::to_string(phase) + ", seed " +
+                                    std::to_string(seed) + ", " +
+                                    std::to_string(threads) + " threads";
+          if (exact || one) {
+            EXPECT_EQ(have, want) << where;
+            EXPECT_EQ(got.log, ref_logs[phase]) << where;
+          } else {
+            // The window holding the zero crossing runs to its end: up to
+            // lookahead - 1 cycles of trailing events, never fewer events.
+            EXPECT_GE(have.now, want.now) << where;
+            EXPECT_LT(have.now, want.now + kLookahead) << where;
+            EXPECT_GE(have.events, want.events) << where;
+          }
+          if (one) {
+            EXPECT_EQ(got.global, ref_global[phase]) << where;
+          }
+          ++phase;
+        });
+        EXPECT_EQ(phase, ref_snaps.size());
+      }
     }
   }
 }

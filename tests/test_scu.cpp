@@ -7,7 +7,7 @@
 #include "scu/global_ops.h"
 #include "scu/link.h"
 #include "scu/packet.h"
-#include "sim/engine.h"
+#include "sim/parallel_engine.h"
 
 namespace qcdoc::scu {
 namespace {
@@ -97,7 +97,7 @@ TEST(Packet, CorruptFlipsExactlyNBits) {
 // --- Link protocol harness --------------------------------------------------
 
 struct LinkPair {
-  sim::SerialEngine engine;
+  sim::ParallelEngine engine;
   sim::StatSet stats;
   hssl::HsslConfig hssl_cfg;
   std::unique_ptr<hssl::Hssl> wire_ab, wire_ba;

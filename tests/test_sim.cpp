@@ -3,14 +3,14 @@
 #include <functional>
 #include <vector>
 
-#include "sim/engine.h"
+#include "sim/parallel_engine.h"
 #include "sim/stats.h"
 
 namespace qcdoc::sim {
 namespace {
 
 TEST(Engine, RunsEventsInTimeOrder) {
-  SerialEngine e;
+  ParallelEngine e;
   std::vector<int> order;
   e.schedule(30, [&] { order.push_back(3); });
   e.schedule(10, [&] { order.push_back(1); });
@@ -21,7 +21,7 @@ TEST(Engine, RunsEventsInTimeOrder) {
 }
 
 TEST(Engine, EqualTimestampsFireInScheduleOrder) {
-  SerialEngine e;
+  ParallelEngine e;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
     e.schedule(5, [&order, i] { order.push_back(i); });
@@ -31,7 +31,7 @@ TEST(Engine, EqualTimestampsFireInScheduleOrder) {
 }
 
 TEST(Engine, EventsMayScheduleMoreEvents) {
-  SerialEngine e;
+  ParallelEngine e;
   int fired = 0;
   std::function<void()> chain = [&] {
     ++fired;
@@ -44,7 +44,7 @@ TEST(Engine, EventsMayScheduleMoreEvents) {
 }
 
 TEST(Engine, RunUntilStopsAtBoundary) {
-  SerialEngine e;
+  ParallelEngine e;
   int fired = 0;
   e.schedule(10, [&] { ++fired; });
   e.schedule(20, [&] { ++fired; });
@@ -56,13 +56,13 @@ TEST(Engine, RunUntilStopsAtBoundary) {
 }
 
 TEST(Engine, RunUntilAdvancesTimeWithNoEvents) {
-  SerialEngine e;
+  ParallelEngine e;
   e.run_until(1000);
   EXPECT_EQ(e.now(), 1000u);
 }
 
 TEST(Engine, StepReturnsFalseWhenEmpty) {
-  SerialEngine e;
+  ParallelEngine e;
   EXPECT_FALSE(e.step());
   e.schedule(1, [] {});
   EXPECT_TRUE(e.step());
@@ -70,7 +70,7 @@ TEST(Engine, StepReturnsFalseWhenEmpty) {
 }
 
 TEST(Engine, PendingEventsCount) {
-  SerialEngine e;
+  ParallelEngine e;
   e.schedule(1, [] {});
   e.schedule(2, [] {});
   EXPECT_EQ(e.pending_events(), 2u);
@@ -81,7 +81,7 @@ TEST(Engine, PendingEventsCount) {
 // Contract: scheduling into the past is a model bug and must be rejected
 // loudly, never silently reordered (it used to corrupt the queue order).
 TEST(Engine, ScheduleAtRejectsThePast) {
-  SerialEngine e;
+  ParallelEngine e;
   e.schedule_at(100, [] {});
   e.run_until_idle();
   ASSERT_EQ(e.now(), 100u);
@@ -93,7 +93,7 @@ TEST(Engine, ScheduleAtRejectsThePast) {
 }
 
 TEST(Engine, ScheduleAtRejectsThePastFromInsideAnEvent) {
-  SerialEngine e;
+  ParallelEngine e;
   bool threw = false;
   e.schedule(50, [&] {
     try {
@@ -109,8 +109,8 @@ TEST(Engine, ScheduleAtRejectsThePastFromInsideAnEvent) {
 }
 
 TEST(Engine, OrderDigestDetectsDifferentSchedules) {
-  SerialEngine a, b, c;
-  for (SerialEngine* e : {&a, &b}) {
+  ParallelEngine a, b, c;
+  for (ParallelEngine* e : {&a, &b}) {
     e->schedule(10, [] {});
     e->schedule(20, [] {});
     e->run_until_idle();

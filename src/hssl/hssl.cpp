@@ -83,7 +83,7 @@ void Hssl::set_bit_error_rate(double rate) {
   cfg_.bit_error_rate = rate;
 }
 
-u64 Hssl::transmit(int bits, DeliveryFn on_delivered) {
+u64 Hssl::transmit(int bits, const Payload& payload) {
   QCDOC_AFFSAN_CHECK(this);
   if (state_ == LinkState::kDown || state_ == LinkState::kFailed ||
       bits <= 0) {
@@ -94,14 +94,19 @@ u64 Hssl::transmit(int bits, DeliveryFn on_delivered) {
     return kRejected;
   }
   const u64 id = next_frame_id_++;
+  if (state_ == LinkState::kTrained && !busy_) {
+    // A trained link's serializer goes idle only with an empty queue, so
+    // the frame starts at once, exactly as if it had passed through it.
+    start(Frame{bits, payload});
+    return id;
+  }
   if (queue_head_ > 0 && queue_.size() == queue_.capacity()) {
     // Reclaim the sent prefix instead of growing.
     queue_.erase(queue_.begin(),
                  queue_.begin() + static_cast<std::ptrdiff_t>(queue_head_));
     queue_head_ = 0;
   }
-  queue_.push_back(Frame{id, bits, std::move(on_delivered)});
-  if (state_ == LinkState::kTrained && !busy_) start_next();
+  queue_.push_back(Frame{bits, payload});
   return id;
 }
 
@@ -109,10 +114,13 @@ void Hssl::start_next() {
   if (state_ != LinkState::kTrained || busy_ || queue_head_ == queue_.size()) {
     return;
   }
-  busy_ = true;
-  Frame frame = std::move(queue_[queue_head_++]);
+  const Frame frame = queue_[queue_head_++];
   if (queue_head_ == queue_.size()) drop_queued();
+  start(frame);
+}
 
+void Hssl::start(const Frame& frame) {
+  busy_ = true;
   int flipped = 0;
   if (cfg_.bit_error_rate > 0.0) {
     for (int b = 0; b < frame.bits; ++b) {
@@ -144,7 +152,7 @@ void Hssl::start_next() {
       in_flight_.size()) {
     throw std::logic_error("Hssl: more frames in flight than the wire holds");
   }
-  in_flight_[tail & (in_flight_.size() - 1)] = std::move(frame);
+  in_flight_[tail & (in_flight_.size() - 1)] = frame;
   in_flight_tail_ = tail + 1;
   delivery_.schedule(serialize + cfg_.wire_delay_cycles,
                      [this, epoch = epoch_, flipped] { deliver(epoch, flipped); });
@@ -158,9 +166,10 @@ void Hssl::deliver(u64 epoch, int flipped) {
   // qcdoc-lint: allow(cross-affinity-access) epoch_ is window-frozen
   if (epoch != epoch_) return;
   const u64 head = in_flight_head_.load(std::memory_order_relaxed);
-  Frame frame = std::move(in_flight_[head & (in_flight_.size() - 1)]);
+  // Copy out before releasing the slot to the producer.
+  const Payload payload = in_flight_[head & (in_flight_.size() - 1)].payload;
   in_flight_head_.store(head + 1, std::memory_order_release);
-  if (frame.on_delivered) frame.on_delivered(frame.id, flipped);
+  if (receiver_ != nullptr) receiver_->on_frame(payload, flipped);
 }
 
 void Hssl::drop_queued() {
@@ -169,7 +178,6 @@ void Hssl::drop_queued() {
 }
 
 void Hssl::drop_in_flight() {
-  for (Frame& f : in_flight_) f.on_delivered.reset();
   in_flight_head_.store(in_flight_tail_, std::memory_order_relaxed);
 }
 

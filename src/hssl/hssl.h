@@ -23,7 +23,6 @@
 #include "common/rng.h"
 #include "common/types.h"
 #include "sim/engine.h"
-#include "sim/small_fn.h"
 #include "sim/stats.h"
 
 namespace qcdoc::hssl {
@@ -44,17 +43,30 @@ enum class LinkState {
 
 const char* to_string(LinkState s);
 
-/// One unidirectional serial link.  Frames are opaque bit counts to the HSSL;
-/// framing (headers, parity) belongs to the SCU layer above.
+/// What one frame carries, as the sender emitted it: a word plus the SCU's
+/// type code and sequence number.  The HSSL never looks inside; framing
+/// (headers, parity) belongs to the SCU layer above.
+struct Payload {
+  u64 word = 0;
+  u8 type = 0;
+  u8 seq = 0;
+};
+
+/// The far end of a wire, fixed at wiring time (the SCU's receive side).
+class Receiver {
+ public:
+  /// Called when the last bit of a frame (plus wire delay) reaches the
+  /// receiver, with the number of bits the wire flipped on the way.
+  virtual void on_frame(const Payload& sent, int flipped_bits) = 0;
+
+ protected:
+  ~Receiver() = default;
+};
+
+/// One unidirectional serial link.  To the HSSL a frame is a bit count
+/// plus an opaque payload handed to the receiver.
 class Hssl {
  public:
-  /// `on_delivered(frame_id, flipped_bits)` fires when the last bit of a
-  /// frame (plus wire delay) reaches the receiver.  A pooled small-buffer
-  /// callable, not std::function: the SCU's per-frame capture (link + wire
-  /// frame + packet) overflows std::function's inline buffer and was
-  /// costing one heap allocation per transmitted frame.
-  using DeliveryFn = sim::SmallFn<void(u64 frame_id, int flipped_bits)>;
-
   /// Returned by transmit() when the link refuses the frame (failed or
   /// unpowered).  Callers must treat it as a hard link fault.
   static constexpr u64 kRejected = ~0ull;
@@ -68,6 +80,10 @@ class Hssl {
   void set_delivery_affinity(sim::Affinity a) {
     delivery_ = sim::EngineRef(engine_.get(), a);
   }
+
+  /// Every delivered frame goes to `r`.  Set once, when the wire's far end
+  /// is connected; frames delivered with no receiver are dropped.
+  void set_receiver(Receiver* r) { receiver_ = r; }
 
   /// Begin the training sequence; the link carries data only once trained.
   void power_on();
@@ -86,10 +102,10 @@ class Hssl {
   /// sampling point).  Anything queued is dropped, as on real re-lock.
   void retrain();
 
-  /// Queue a frame of `bits` for transmission.  Returns its frame id, or
-  /// kRejected (with a stat and a warning) when the link cannot carry it.
-  /// Frames serialize strictly in order at 1 bit/cycle.
-  u64 transmit(int bits, DeliveryFn on_delivered);
+  /// Queue a frame of `bits` carrying `payload` for transmission.  Returns
+  /// its frame id, or kRejected (with a stat and a warning) when the link
+  /// cannot carry it.  Frames serialize strictly in order at 1 bit/cycle.
+  u64 transmit(int bits, const Payload& payload);
 
   /// Called whenever the serializer becomes free (including right after
   /// training completes), so the SCU layer can make a fresh priority
@@ -109,8 +125,14 @@ class Hssl {
   u64 rejected_frames() const { return rejected_frames_; }
 
  private:
+  struct Frame {
+    int bits = 0;
+    Payload payload;
+  };
+
   void begin_training();
   void start_next();
+  void start(const Frame& frame);
   void deliver(u64 epoch, int flipped);
   void drop_queued();
   void drop_in_flight();
@@ -136,21 +158,17 @@ class Hssl {
   /// (training completion, serializer free, deliveries) are void.
   u64 epoch_ = 0;
 
-  struct Frame {
-    u64 id = 0;
-    int bits = 0;
-    DeliveryFn on_delivered;
-  };
-  /// Frames waiting for the serializer, oldest at queue_head_.  A vector,
-  /// not a deque: a link rarely holds more than one waiting frame, and a
-  /// deque streaming frames through allocates and frees a chunk every few
-  /// of them.
+  /// Frames waiting for the serializer, oldest at queue_head_.  Only frames
+  /// handed in while the serializer is busy or the link is training wait
+  /// here; an idle trained link starts a frame at once.  A vector, not a
+  /// deque: a link rarely holds more than one waiting frame, and a deque
+  /// streaming frames through allocates and frees a chunk every few of
+  /// them.
   std::vector<Frame> queue_;
   std::size_t queue_head_ = 0;
   /// Frames on the wire, oldest first.  Deliveries happen in serialization
   /// order, so the delivery event only carries (link, epoch, flipped bits)
-  /// and takes its frame from the front here -- a whole Frame with its
-  /// callback would not fit EventFn's inline buffer.  Single producer
+  /// and takes its frame from the front here.  Single producer
   /// (start_next, sender affinity) and single consumer (deliver, receiver
   /// affinity), possibly on different engine threads: a fixed ring whose
   /// consumer index is atomic.  A frame stays on the wire its own length
@@ -163,6 +181,7 @@ class Hssl {
   std::vector<Frame> in_flight_;
   u64 in_flight_tail_ = 0;             ///< producer: next slot to fill
   std::atomic<u64> in_flight_head_{0}; ///< consumer: next frame to deliver
+  Receiver* receiver_ = nullptr;
   std::function<void()> on_ready_;
 };
 

@@ -21,6 +21,8 @@ SendSide::SendSide(sim::EngineRef engine, hssl::Hssl* wire, LinkParams params,
   });
 }
 
+void SendSide::set_remote(RecvSide* remote) { wire_->set_receiver(remote); }
+
 void SendSide::enqueue_data(u64 word) {
   data_queue_.push_back(word);
   checksum_ += word;
@@ -126,12 +128,14 @@ void SendSide::pump() {
 }
 
 void SendSide::transmit(const Packet& p) {
+  // Every emitted packet is normalized (2-bit seq, short payloads within
+  // their byte), which is what lets the receiver skip the codec on clean
+  // frames: decode(encode(p)) == p.
+  assert(p.seq <= 0x3 && (has_word_payload(p.type) || p.payload <= 0xff));
   frame_in_flight_ = true;
-  WireFrame frame = encode(p);
   const u64 id = wire_->transmit(
-      frame.bits, [this, frame, p](u64 /*frame_id*/, int flipped) {
-        if (remote_) remote_->on_frame(frame, flipped, p);
-      });
+      frame_bits(p.type),
+      hssl::Payload{p.payload, static_cast<u8>(p.type), p.seq});
   if (id == hssl::Hssl::kRejected) {
     // The wire is dead: there will be no serializer-free callback.  Escalate
     // immediately instead of queueing into the void.
@@ -252,65 +256,74 @@ RecvSide::RecvSide(sim::EngineRef engine, LinkParams params, sim::StatSet* stats
   if (stats_) stat_data_received_ = stats_->cell("scu.data_received");
 }
 
-void RecvSide::on_frame(WireFrame frame, int flipped, const Packet& sent) {
-  if (flipped > 0) frame.corrupt(flipped, corrupt_rng_);
-  const auto pkt = decode(frame);
-  if (!pkt) {
-    ++detected_errors_;
-    if (stats_) stats_->add("scu.detected_errors");
-    // A corrupted long frame was (most likely) a data word: request the
-    // automatic hardware resend.  Short frames are control/interrupt
-    // traffic, recovered by timeouts / window re-floods instead.
-    if (frame.bits == frame_bits(PacketType::kData) && reverse_) {
-      reverse_->enqueue_control(PacketType::kNack, expected_seq_);
+void RecvSide::on_frame(const hssl::Payload& in, int flipped) {
+  const Packet sent{static_cast<PacketType>(in.type), in.word, in.seq};
+  Packet pkt = sent;
+  if (flipped > 0) {
+    WireFrame frame = encode(sent);
+    frame.corrupt(flipped, corrupt_rng_);
+    const auto decoded = decode(frame);
+    if (!decoded) {
+      ++detected_errors_;
+      if (stats_) stats_->add("scu.detected_errors");
+      // A corrupted long frame was (most likely) a data word: request the
+      // automatic hardware resend.  Short frames are control/interrupt
+      // traffic, recovered by timeouts / window re-floods instead.
+      if (frame.bits == frame_bits(PacketType::kData) && reverse_) {
+        reverse_->enqueue_control(PacketType::kNack, expected_seq_);
+      }
+      return;
     }
-    return;
-  }
-  if (flipped > 0 &&
-      (pkt->type != sent.type || pkt->payload != sent.payload ||
-       pkt->seq != sent.seq)) {
-    // Corruption slipped past the parity/type checks.  Only the end-to-end
-    // link checksums can expose this, as on the hardware.
-    ++undetected_errors_;
-    if (stats_) stats_->add("scu.undetected_errors");
+    pkt = *decoded;
+    if (pkt.type != sent.type || pkt.payload != sent.payload ||
+        pkt.seq != sent.seq) {
+      // Corruption slipped past the parity/type checks.  Only the
+      // end-to-end link checksums can expose this, as on the hardware.
+      ++undetected_errors_;
+      if (stats_) stats_->add("scu.undetected_errors");
+    }
   }
 
-  switch (pkt->type) {
+  switch (pkt.type) {
     case PacketType::kData:
-      if (pkt->seq != expected_seq_) {
+      if (pkt.seq != expected_seq_) {
         // Stale duplicate from a go-back or timeout resend.  Re-send the
-        // cumulative acknowledgement so a lost ACK cannot stall the link --
-        // unless we are in idle receive, where withholding acknowledgement
-        // is exactly how the hardware blocks the sender.
+        // cumulative acknowledgement up to the last word handed to a sink,
+        // so a lost ACK cannot stall the link -- also after the receive
+        // DMA took its last word and removed its sink.  Words held in idle
+        // receive stay unacknowledged: withholding acknowledgement is
+        // exactly how the hardware blocks the sender.
         if (stats_) stats_->add("scu.stale_data");
-        if (data_sink_ && reverse_) {
-          reverse_->enqueue_control(PacketType::kAck, expected_seq_);
+        if (reverse_) {
+          reverse_->enqueue_control(
+              PacketType::kAck,
+              static_cast<u8>((expected_seq_ - held_.size()) & 0x3));
         }
         return;
       }
-      accept_data(pkt->payload, pkt->seq);
+      accept_data(pkt.payload, pkt.seq);
       return;
     case PacketType::kSupervisor:
-      if (pkt->seq == sup_expected_seq_) {
+      if (pkt.seq == sup_expected_seq_) {
         sup_expected_seq_ = static_cast<u8>((sup_expected_seq_ + 1) & 0x3);
         if (stats_) stats_->add("scu.sup_received");
-        if (supervisor_handler_) supervisor_handler_(pkt->payload);
+        if (supervisor_handler_) supervisor_handler_(pkt.payload);
       }
       // Always (re-)acknowledge: a duplicate means our SupAck was lost.
-      if (reverse_) reverse_->enqueue_control(PacketType::kSupAck, pkt->seq);
+      if (reverse_) reverse_->enqueue_control(PacketType::kSupAck, pkt.seq);
       return;
     case PacketType::kPartitionIrq:
       if (stats_) stats_->add("scu.pirq_received");
-      if (pirq_handler_) pirq_handler_(static_cast<u8>(pkt->payload & 0xff));
+      if (pirq_handler_) pirq_handler_(static_cast<u8>(pkt.payload & 0xff));
       return;
     case PacketType::kAck:
-      if (reverse_) reverse_->on_ack(static_cast<u8>(pkt->payload & 0x3));
+      if (reverse_) reverse_->on_ack(static_cast<u8>(pkt.payload & 0x3));
       return;
     case PacketType::kNack:
-      if (reverse_) reverse_->on_nack(static_cast<u8>(pkt->payload & 0x3));
+      if (reverse_) reverse_->on_nack(static_cast<u8>(pkt.payload & 0x3));
       return;
     case PacketType::kSupAck:
-      if (reverse_) reverse_->on_sup_ack(static_cast<u8>(pkt->payload & 0x3));
+      if (reverse_) reverse_->on_sup_ack(static_cast<u8>(pkt.payload & 0x3));
       return;
   }
 }

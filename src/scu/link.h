@@ -52,7 +52,7 @@ class SendSide {
            sim::StatSet* stats);
 
   /// The RecvSide on the *remote* node that this wire feeds.
-  void set_remote(RecvSide* remote) { remote_ = remote; }
+  void set_remote(RecvSide* remote);
 
   /// Queue normal-transfer data words (from a send-DMA engine).
   void enqueue_data(u64 word);
@@ -133,7 +133,6 @@ class SendSide {
   // string-keyed map lookup on every transmitted/acknowledged word.
   u64* stat_data_sent_ = nullptr;
   u64* stat_acks_ = nullptr;
-  RecvSide* remote_ = nullptr;
 
   // Normal data stream (go-back-N with a 2-bit sequence, window 3).
   struct Pending {
@@ -172,7 +171,7 @@ class SendSide {
 };
 
 /// Receive half of a directed link, owned by the receiving node's SCU.
-class RecvSide {
+class RecvSide final : public hssl::Receiver {
  public:
   RecvSide(sim::EngineRef engine, LinkParams params, sim::StatSet* stats,
            Rng corruption_stream);
@@ -183,9 +182,11 @@ class RecvSide {
   void set_reverse(SendSide* reverse) { reverse_ = reverse; }
 
   /// Entry point from the wire: `sent` is the packet the sender emitted,
-  /// `frame` its wire image, `flipped` the number of bits the link
-  /// corrupted (applied to the image here, at the sampling point).
-  void on_frame(WireFrame frame, int flipped, const Packet& sent);
+  /// `flipped` the number of bits the link corrupted.  A clean frame is
+  /// used as sent (every packet SendSide emits round-trips through
+  /// encode/decode unchanged); a corrupted one is encoded, has its bits
+  /// flipped at the sampling point and goes through the real checks.
+  void on_frame(const hssl::Payload& sent, int flipped) override;
 
   /// Consumer interface (the receive-DMA engine).  `sink(word)` is called
   /// for every accepted data word in order; when no sink is installed the

@@ -5,7 +5,8 @@
 // A binary heap pays O(log n) comparisons *and* O(log n) moves of a
 // 96-byte event per push and pop; the calendar queue instead keeps a ring
 // of 128 one-cycle buckets covering the 128 cycles from the current
-// minimum -- push links the event into its bucket, pop takes the head of
+// minimum -- push links the event into its bucket (at its tail, in the
+// usual case of a largest key), pop takes the head of
 // the earliest occupied bucket (tracked by an occupancy bitmap, so finding
 // it is a countr_zero or two).  The window slides forward with every pop.
 // Events beyond its horizon (scrubber periods, watchdog ticks, resend
@@ -67,11 +68,11 @@ class CalendarQueue {
   /// Timestamp of the earliest pending event, kNoEvent when empty.  O(1).
   Cycle min_time() const { return min_time_; }
 
-  /// Insert an event.  Returns true when it became the queue's new earliest
-  /// event (strictly earlier than the previous minimum, or the queue was
-  /// empty) -- the signal the engine uses to maintain its shard heaps.
-  bool push(QueuedEvent&& ev) {
-    const Cycle t = ev.time;
+  /// Insert an event, building its node in place from `fn`.  Returns true
+  /// when it became the queue's new earliest event (strictly earlier than
+  /// the previous minimum, or the queue was empty) -- the signal the engine
+  /// uses to maintain its shard heaps.
+  bool push(Cycle t, u32 src_rank, u64 seq, EventFn&& fn) {
     if (size_ == 0) {
       // Re-anchor the wheel on the first event so long idle gaps (a
       // scrubber waking every 2^14 cycles) stay on the fast path.
@@ -81,7 +82,7 @@ class CalendarQueue {
       // a rank whose wheel ran ahead.  Rare; pull the window back.
       lower_horizon(t + kWheelSize);
     }
-    const u32 i = new_node(std::move(ev));
+    const u32 i = new_node(t, src_rank, seq, std::move(fn));
     if (t < horizon_) {
       link(i);
     } else {
@@ -93,6 +94,11 @@ class CalendarQueue {
       return true;
     }
     return false;
+  }
+
+  /// Insert an event that already carries its key (an outbox merge).
+  bool push(QueuedEvent&& ev) {
+    return push(ev.time, ev.src_rank, ev.seq, std::move(ev.fn));
   }
 
   /// Remove and return the earliest event (by (time, src, seq)).  Requires
@@ -148,7 +154,7 @@ class CalendarQueue {
     return static_cast<std::size_t>(t) & (kWheelSize - 1);
   }
 
-  u32 new_node(QueuedEvent&& ev) {
+  u32 new_node(Cycle t, u32 src_rank, u64 seq, EventFn&& fn) {
     u32 i = free_;
     if (i != kNil) {
       free_ = nodes_[i].next;
@@ -157,25 +163,37 @@ class CalendarQueue {
       nodes_.emplace_back();
     }
     Node& n = nodes_[i];
-    n.time = ev.time;
-    n.src_rank = ev.src_rank;
-    n.seq = ev.seq;
-    n.fn = std::move(ev.fn);
+    n.time = t;
+    n.src_rank = src_rank;
+    n.seq = seq;
+    n.fn = std::move(fn);
     return i;
   }
 
   /// Link node `i` into its bucket's list, which is kept sorted by key so
   /// the head is always the bucket's minimum.  New events almost always
-  /// carry the largest key of their bucket, and buckets are short.
+  /// carry the largest key of their bucket, so the list's tail is checked
+  /// first and the usual insert is O(1); otherwise the (short) list is
+  /// walked from the head.
   void link(u32 i) {
     Node& n = nodes_[i];
     const EventKey k = key_of(n);
     const std::size_t bi = bucket_of(n.time);
-    u32* at = &head_[bi];
-    while (*at != kNil && key_of(nodes_[*at]) < k) at = &nodes_[*at].next;
-    n.next = *at;
-    *at = i;
-    occupied_[bi / 64] |= u64{1} << (bi % 64);
+    if (head_[bi] == kNil) {
+      n.next = kNil;
+      head_[bi] = tail_[bi] = i;
+      occupied_[bi / 64] |= u64{1} << (bi % 64);
+    } else if (key_of(nodes_[tail_[bi]]) < k) {
+      n.next = kNil;
+      nodes_[tail_[bi]].next = i;
+      tail_[bi] = i;
+    } else {
+      // Lands before the tail, so the tail stays.
+      u32* at = &head_[bi];
+      while (key_of(nodes_[*at]) < k) at = &nodes_[*at].next;
+      n.next = *at;
+      *at = i;
+    }
     ++wheel_count_;
   }
 
@@ -260,6 +278,8 @@ class CalendarQueue {
   std::vector<Node> nodes_;
   u32 free_ = kNil;
   std::array<u32, kWheelSize> head_ = make_empty_heads();
+  /// Last node of each bucket's list; meaningful only while its head is set.
+  std::array<u32, kWheelSize> tail_{};
   std::array<u64, kWords> occupied_{};  ///< bit b set iff bucket b non-empty
   /// Wheel events lie in [horizon_ - kWheelSize, horizon_), overflow events
   /// at or past horizon_, so a non-empty queue's minimum is always bucketed.

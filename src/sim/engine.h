@@ -65,13 +65,22 @@ inline Affinity rank_affinity(u32 rank) {
 inline constexpr u64 kFnvOffset = 1469598103934665603ull;
 inline constexpr u64 kFnvPrime = 1099511628211ull;
 
-/// Fold one 64-bit value into an FNV-1a digest, byte by byte.
+/// kFnvPrime^k (mod 2^64) for k = 0..8.
+inline constexpr std::array<u64, 9> kFnvPrimePow = [] {
+  std::array<u64, 9> p{};
+  p[0] = 1;
+  for (std::size_t k = 1; k < p.size(); ++k) p[k] = p[k - 1] * kFnvPrime;
+  return p;
+}();
+
+/// Fold one 64-bit value into an FNV-1a digest, byte by byte, low byte
+/// first.  XOR with a zero byte changes nothing, so the high zero bytes of
+/// a small value fold as one multiply by a power of the prime: the same
+/// digest with fewer dependent multiplies.
 inline u64 fnv1a(u64 h, u64 v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ (v & 0xffu)) * kFnvPrime;
-    v >>= 8;
-  }
-  return h;
+  std::size_t n = 0;
+  for (; v != 0; v >>= 8, ++n) h = (h ^ (v & 0xffu)) * kFnvPrime;
+  return h * kFnvPrimePow[8 - n];
 }
 
 /// Per-thread execution context: which engine is running an event on this
@@ -222,8 +231,9 @@ class Engine {
   }
 
   /// Schedule `fn` at absolute time `t` (>= now(), else throws
-  /// std::invalid_argument) acting on node `dest`.
-  virtual void schedule_at_on(Affinity dest, Cycle t, Action fn) = 0;
+  /// std::invalid_argument) acting on node `dest`.  Takes the action by
+  /// rvalue so it moves once, into its queue slot.
+  virtual void schedule_at_on(Affinity dest, Cycle t, Action&& fn) = 0;
 
   /// Run the globally earliest pending event.  Returns false when no events
   /// remain.  Always executes exactly one event in total-key order, on the

@@ -82,6 +82,20 @@ void ParallelEngine::check_not_in_event() const {
   }
 }
 
+void ParallelEngine::replace_top(std::vector<HeadPos>& heap, HeadPos hp) {
+  const std::size_t n = heap.size();
+  std::size_t i = 0;
+  for (;;) {
+    std::size_t c = 2 * i + 1;
+    if (c >= n) break;
+    if (c + 1 < n && HeadPosAfter{}(heap[c], heap[c + 1])) ++c;
+    if (!HeadPosAfter{}(hp, heap[c])) break;
+    heap[i] = heap[c];
+    i = c;
+  }
+  heap[i] = hp;
+}
+
 Cycle ParallelEngine::shard_top(int w) {
   auto& heap = slots_[static_cast<std::size_t>(w)].heap;
   while (!heap.empty()) {
@@ -108,7 +122,7 @@ void ParallelEngine::shard_push_entry(u32 rank, Cycle t) {
   std::push_heap(heap.begin(), heap.end(), HeadPosAfter{});
 }
 
-void ParallelEngine::schedule_at_on(Affinity dest, Cycle t, Action fn) {
+void ParallelEngine::schedule_at_on(Affinity dest, Cycle t, Action&& fn) {
   const u32 dest_rank = detail::affinity_rank(dest);
   if (dest_rank >= ranks_.size()) {
     throw std::invalid_argument(
@@ -131,7 +145,7 @@ void ParallelEngine::schedule_at_on(Affinity dest, Cycle t, Action fn) {
         "(t=" + std::to_string(t) + " < " + std::to_string(current) + " + " +
         std::to_string(cfg_.lookahead) + ")");
   }
-  QueuedEvent ev{t, src, ranks_[src].scheduled++, std::move(fn)};
+  const u64 seq = ranks_[src].scheduled++;
   if (t_window_engine == this) {
     // Inside a parallel window: the seq counter of `src` belongs to the
     // executing worker, as does the destination queue iff it is our own
@@ -141,7 +155,7 @@ void ParallelEngine::schedule_at_on(Affinity dest, Cycle t, Action fn) {
     auto* slot = static_cast<WorkerSlot*>(t_slot);
     ++slot->window_pushed;
     if (dest_rank == src) {
-      ranks_[dest_rank].q.push(std::move(ev));
+      ranks_[dest_rank].q.push(t, src, seq, std::move(fn));
       return;
     }
     if (t < win_end_) {
@@ -150,16 +164,17 @@ void ParallelEngine::schedule_at_on(Affinity dest, Cycle t, Action fn) {
           "(t=" + std::to_string(t) + " < window end " +
           std::to_string(win_end_) + ")");
     }
-    slot->outbox.emplace_back(dest_rank, std::move(ev));
+    slot->outbox.emplace_back(dest_rank,
+                              QueuedEvent{t, src, seq, std::move(fn)});
     return;
   }
   ++pushed_total_;
-  push_serial(dest_rank, std::move(ev));
+  push_serial(dest_rank, t, src, seq, std::move(fn));
 }
 
-void ParallelEngine::push_serial(u32 dest_rank, QueuedEvent&& ev) {
-  const Cycle t = ev.time;
-  if (ranks_[dest_rank].q.push(std::move(ev))) {
+void ParallelEngine::push_serial(u32 dest_rank, Cycle t, u32 src, u64 seq,
+                                 Action&& fn) {
+  if (ranks_[dest_rank].q.push(t, src, seq, std::move(fn))) {
     // The event became its rank's new head: cover it with a shard-heap
     // entry, and -- when a single-shard fast-forward is running -- tighten
     // the foreign-event bound it must respect.
@@ -302,9 +317,9 @@ void ParallelEngine::run_shard_serial(int w, Cycle limit,
       bound = ranks_[0].q.min_time();
     }
     if (top >= bound) break;
+    // The rank's entry stays on top while its events run and is replaced
+    // in place afterwards.
     const u32 r = heap.front().rank;
-    std::pop_heap(heap.begin(), heap.end(), HeadPosAfter{});
-    heap.pop_back();
     RankQ& rq = ranks_[r];
     while (rq.q.min_time() == top) {
       if (top > now_) now_ = top;
@@ -320,7 +335,19 @@ void ParallelEngine::run_shard_serial(int w, Cycle limit,
       if (r != 0 && ranks_[0].q.min_time() == top) break;
     }
     const Cycle m = rq.q.min_time();
-    if (m != kNoEvent) shard_push_entry(r, m);
+    if (heap.front().time == top && heap.front().rank == r) {
+      if (m != kNoEvent) {
+        replace_top(heap, HeadPos{m, r});
+      } else {
+        std::pop_heap(heap.begin(), heap.end(), HeadPosAfter{});
+        heap.pop_back();
+      }
+    } else if (m != kNoEvent && m != top) {
+      // An event run here pushed an entry above ours (a same-time host
+      // event's, say).  Ours is stale unless the rank still has events at
+      // `top`; cover the rank's new head.
+      shard_push_entry(r, m);
+    }
   }
   serial_shard_ = -1;
 }
@@ -413,9 +440,10 @@ void ParallelEngine::process_shard(int w) {
         heap.pop_back();
       }
       if (top >= win_end_) break;  // includes empty (kNoEvent)
+      // Nothing else touches this heap inside the window (own-rank
+      // schedules go straight to the queue), so the rank's entry stays on
+      // top while it runs and is replaced in place.
       const u32 r = heap.front().rank;
-      std::pop_heap(heap.begin(), heap.end(), HeadPosAfter{});
-      heap.pop_back();
       RankQ& rq = ranks_[r];
       Cycle m;
       while ((m = rq.q.min_time()) < win_end_) {
@@ -423,8 +451,10 @@ void ParallelEngine::process_shard(int w) {
       }
       if (rq.last_exec > slot.window_max) slot.window_max = rq.last_exec;
       if (m != kNoEvent) {
-        heap.push_back(HeadPos{m, r});
-        std::push_heap(heap.begin(), heap.end(), HeadPosAfter{});
+        replace_top(heap, HeadPos{m, r});
+      } else {
+        std::pop_heap(heap.begin(), heap.end(), HeadPosAfter{});
+        heap.pop_back();
       }
     }
   } catch (...) {

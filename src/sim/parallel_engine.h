@@ -65,7 +65,7 @@ class ParallelEngine final : public Engine {
   explicit ParallelEngine(ParallelConfig cfg = {});
   ~ParallelEngine() override;
 
-  void schedule_at_on(Affinity dest, Cycle t, Action fn) override;
+  void schedule_at_on(Affinity dest, Cycle t, Action&& fn) override;
   bool step() override;
   Cycle run_until_idle() override;
   void run_until(Cycle t) override;
@@ -124,6 +124,9 @@ class ParallelEngine final : public Engine {
     std::exception_ptr error;
   };
 
+  /// Overwrite the top of a shard heap with `hp` and sift it down: one
+  /// pass instead of a pop_heap + push_heap pair.
+  static void replace_top(std::vector<HeadPos>& heap, HeadPos hp);
   void check_not_in_event() const;
   /// Cleanse every shard heap's top and return the earliest pending event
   /// time.  After it returns, every non-empty shard heap front is valid.
@@ -139,7 +142,7 @@ class ParallelEngine final : public Engine {
   void run_window_parallel(Cycle end);
   void process_shard(int w);
   void exec_event(u32 rank, QueuedEvent ev);
-  void push_serial(u32 dest_rank, QueuedEvent&& ev);
+  void push_serial(u32 dest_rank, Cycle t, u32 src, u64 seq, Action&& fn);
   void worker_main(int w);
 
   ParallelConfig cfg_;

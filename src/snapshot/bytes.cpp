@@ -6,26 +6,49 @@ namespace qcdoc::snapshot {
 
 namespace {
 
-std::array<u32, 256> make_crc_table() {
-  std::array<u32, 256> table{};
+/// Slicing-by-8 tables: kTables[0] is the classic bytewise table, and
+/// kTables[k][b] is the CRC of byte b followed by k zero bytes, so eight
+/// input bytes fold in one step of eight independent lookups.
+using CrcTables = std::array<std::array<u32, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables t{};
   for (u32 i = 0; i < 256; ++i) {
     u32 c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    }
+  }
+  return t;
+}
+
+u32 load_le32(const u8* p) {
+  return static_cast<u32>(p[0]) | static_cast<u32>(p[1]) << 8 |
+         static_cast<u32>(p[2]) << 16 | static_cast<u32>(p[3]) << 24;
 }
 
 }  // namespace
 
 u32 crc32(std::span<const u8> bytes, u32 seed) {
-  static const std::array<u32, 256> kTable = make_crc_table();
+  static const CrcTables kT = make_crc_tables();
   u32 c = seed ^ 0xffffffffu;
-  for (const u8 b : bytes) {
-    c = kTable[(c ^ b) & 0xffu] ^ (c >> 8);
+  const u8* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const u32 lo = c ^ load_le32(p);
+    const u32 hi = load_le32(p + 4);
+    c = kT[7][lo & 0xffu] ^ kT[6][(lo >> 8) & 0xffu] ^
+        kT[5][(lo >> 16) & 0xffu] ^ kT[4][lo >> 24] ^ kT[3][hi & 0xffu] ^
+        kT[2][(hi >> 8) & 0xffu] ^ kT[1][(hi >> 16) & 0xffu] ^
+        kT[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) c = kT[0][(c ^ *p) & 0xffu] ^ (c >> 8);
   return c ^ 0xffffffffu;
 }
 

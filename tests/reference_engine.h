@@ -20,7 +20,7 @@ namespace qcdoc::sim {
 
 class ReferenceEngine final : public Engine {
  public:
-  void schedule_at_on(Affinity dest, Cycle t, Action fn) override {
+  void schedule_at_on(Affinity dest, Cycle t, Action&& fn) override {
     const Cycle current = now();
     if (t < current) throw_past(t, current);
     const u32 src = detail::affinity_rank(current_affinity());

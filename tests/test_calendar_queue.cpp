@@ -5,6 +5,7 @@
 // overflow (far heap), migration, and below-base rebasing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <queue>
 #include <vector>
 
@@ -137,6 +138,63 @@ TEST(CalendarQueue, SameCycleTieStormAcrossSources) {
     ASSERT_EQ(ev.seq, want.seq);
   }
   EXPECT_TRUE(cq.empty());
+}
+
+TEST(CalendarQueue, SameBucketInsertsInAnyKeyOrder) {
+  // Buckets keep a tail index so the usual largest-key insert is O(1).
+  // Insert into shared buckets in descending, ascending and shuffled key
+  // order, so every insert lands before, after or between the existing
+  // ones, interleaved with pops that empty and refill the buckets.
+  CalendarQueue cq;
+  RefQueue ref;
+  Rng rng(7);
+  u64 ran = 0;
+  u64 want_ran = 0;
+  for (Cycle base = 0; base < 64 * 300; base += 64) {
+    const int pattern = static_cast<int>((base / 64) % 3);
+    for (int b = 0; b < 3; ++b) {
+      const Cycle t = base + 5 * static_cast<Cycle>(b);
+      std::vector<EventKey> keys;
+      for (u32 src = 0; src < 4; ++src) {
+        for (u64 seq = 0; seq < 3; ++seq) keys.push_back({t, src, base + seq});
+      }
+      if (pattern == 0) {
+        std::sort(keys.begin(), keys.end(),
+                  [](const EventKey& a, const EventKey& b) { return b < a; });
+      } else if (pattern == 2) {
+        for (std::size_t i = keys.size(); i > 1; --i) {
+          std::swap(keys[i - 1], keys[rng.next_below(i)]);
+        }
+      }
+      for (const EventKey& k : keys) {
+        const u64 stamp = k.time ^ (u64{k.src_rank} << 40) ^ k.seq;
+        cq.push(k.time, k.src_rank, k.seq, [&ran, stamp] { ran ^= stamp; });
+        ref.push(k);
+        want_ran ^= stamp;
+      }
+    }
+    // Pop about half, so later buckets are refilled while partly drained.
+    for (std::size_t n = ref.size() / 2; n > 0; --n) {
+      const EventKey want = ref.top();
+      ref.pop();
+      QueuedEvent ev = cq.pop_min();
+      ASSERT_EQ(ev.time, want.time);
+      ASSERT_EQ(ev.src_rank, want.src_rank);
+      ASSERT_EQ(ev.seq, want.seq);
+      ev.fn();
+    }
+  }
+  while (!ref.empty()) {
+    const EventKey want = ref.top();
+    ref.pop();
+    QueuedEvent ev = cq.pop_min();
+    ASSERT_EQ(ev.time, want.time);
+    ASSERT_EQ(ev.src_rank, want.src_rank);
+    ASSERT_EQ(ev.seq, want.seq);
+    ev.fn();
+  }
+  EXPECT_TRUE(cq.empty());
+  EXPECT_EQ(ran, want_ran);
 }
 
 TEST(CalendarQueue, RebaseOnBelowBasePush) {

@@ -173,23 +173,31 @@ void hop(Engine* eng, u32 node, int remaining) {
 }
 
 /// Link traffic: node n streams 72-bit frames to node n+1 over its own
-/// HSSL wire, each delivery callback carrying an SCU-sized capture (a
-/// pointer plus 40 bytes), the per-word path of a halo exchange.
+/// HSSL wire, each carrying a typed payload to the far end's receiver, the
+/// per-word path of a halo exchange.
 struct LinkRing {
   static constexpr int kFrames = 40;
 
-  std::vector<std::unique_ptr<hssl::Hssl>> wires;
-  std::vector<int> to_send;    // per wire, touched by its sender only
-  std::vector<u64> delivered;  // per wire, touched by its receiver only
+  /// Far end of wire n, running on node n+1.
+  struct Sink final : hssl::Receiver {
+    u64 delivered = 0;  // touched by the receiving node only
+    void on_frame(const hssl::Payload& p, int) override {
+      delivered += p.word + 1;
+    }
+  };
 
-  explicit LinkRing(Engine& eng)
-      : to_send(kNodes, 0), delivered(kNodes, 0) {
+  std::vector<std::unique_ptr<hssl::Hssl>> wires;
+  std::vector<int> to_send;  // per wire, touched by its sender only
+  std::vector<Sink> sinks;
+
+  explicit LinkRing(Engine& eng) : to_send(kNodes, 0), sinks(kNodes) {
     hssl::HsslConfig cfg;
     cfg.training_cycles = 16;
     for (u32 n = 0; n < kNodes; ++n) {
       wires.push_back(std::make_unique<hssl::Hssl>(EngineRef(&eng, n), cfg,
                                                    Rng(n + 1), nullptr));
       wires[n]->set_delivery_affinity((n + 1) % kNodes);
+      wires[n]->set_receiver(&sinks[n]);
       wires[n]->set_ready_callback([this, n] { send(n); });
       wires[n]->power_on();
     }
@@ -199,10 +207,7 @@ struct LinkRing {
   void send(u32 n) {
     if (to_send[n] == 0) return;
     --to_send[n];
-    const std::array<u64, 4> image{n, 1, 2, 3};
-    (void)wires[n]->transmit(72, [this, n, image](u64, int) {
-      delivered[n] += image[0] + 1;
-    });
+    (void)wires[n]->transmit(72, hssl::Payload{n, 0x3, 0});
   }
 
   void start(Engine& eng) {
@@ -242,7 +247,7 @@ void expect_steady_state_alloc_free(Engine& eng, const char* what) {
   EXPECT_EQ(pool_after.pool_reuses - pool_before.pool_reuses, 0u)
       << what << ": steady-state actions must not touch the action pool";
   for (u32 n = 0; n < kNodes; ++n) {
-    EXPECT_EQ(links.delivered[n], 14u * LinkRing::kFrames * (n + 1))
+    EXPECT_EQ(links.sinks[n].delivered, 14u * LinkRing::kFrames * (n + 1))
         << what << ": wire " << n;
   }
 }

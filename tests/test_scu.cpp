@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
 
 #include "common/rng.h"
@@ -469,6 +470,112 @@ TEST(Link, AckLossBurstIsRecoveredByTimeout) {
   EXPECT_FALSE(link.send_a->faulted());
 }
 
+TEST(Link, DroppedTailAcksAfterReceiveCompletesAreRecoveredByTimeout) {
+  // The receive DMA takes the last word and removes its sink; the acks of
+  // the transfer's last words are then lost.  The sender's timeout resends
+  // them as stale duplicates, which the sink-less receiver must
+  // re-acknowledge, or the link faults after fault_timeout_rounds.
+  LinkParams params;
+  params.resend_timeout_cycles = 512;
+  LinkPair link(0.0, params);
+  memsys::NodeMemory mem_a, mem_b;
+  constexpr u64 kWords = 24;
+  const auto src = mem_a.alloc(kWords, "src");
+  const auto dst = mem_b.alloc(kWords, "dst");
+  for (u64 i = 0; i < kWords; ++i) mem_a.write_word(src.word_addr + i, 900 + i);
+  SendDma send(&link.engine, &mem_a, link.send_a.get(), DmaTiming{});
+  RecvDma recv(&link.engine, &mem_b, link.recv_b.get(), DmaTiming{});
+  bool sent = false;
+  bool received = false;
+  int faults = 0;
+  link.send_a->set_on_link_fault([&] { ++faults; });
+  recv.start(DmaDescriptor{dst.word_addr, kWords, 1, 0}, [&] { received = true; });
+  send.start(DmaDescriptor{src.word_addr, kWords, 1, 0}, [&] { sent = true; });
+
+  ASSERT_TRUE(link.engine.run_while(
+      [&] { return link.recv_b->words_received() < kWords; }));
+  ASSERT_TRUE(link.recv_b->in_idle_receive());  // the sink is gone
+  // One ack per word is still on its way back: drop every one of them.
+  const u64 in_flight = kWords - link.stats.get("scu.acks");
+  ASSERT_GT(in_flight, 0u);
+  link.send_a->drop_acks(static_cast<int>(in_flight));
+  link.engine.run_until_idle();
+
+  EXPECT_EQ(link.stats.get("scu.acks_dropped"), in_flight);
+  EXPECT_TRUE(received);
+  EXPECT_TRUE(sent);
+  EXPECT_TRUE(link.send_a->data_drained());
+  EXPECT_FALSE(link.send_a->faulted());
+  EXPECT_EQ(faults, 0);
+  EXPECT_EQ(link.stats.get("scu.link_faults"), 0u);
+  EXPECT_GT(link.stats.get("scu.timeout_resends"), 0u);
+  EXPECT_GT(link.stats.get("scu.stale_data"), 0u);
+  EXPECT_EQ(link.recv_b->words_received(), kWords);  // no word twice
+  EXPECT_EQ(link.send_a->checksum(), link.recv_b->checksum());
+  for (u64 i = 0; i < kWords; ++i) {
+    EXPECT_EQ(mem_b.read_word(dst.word_addr + i), 900 + i);
+  }
+}
+
+TEST(Link, StaleDuplicatesInIdleReceiveDoNotAcknowledgeHeldWords) {
+  // Held words stay unacknowledged even when timeout resends arrive as
+  // stale duplicates: the sender stays blocked until a sink is installed.
+  LinkParams params;
+  params.resend_timeout_cycles = 512;
+  LinkPair link(0.0, params);
+  for (u64 i = 0; i < 10; ++i) link.send_a->enqueue_data(i);
+  link.engine.run_until(2200);  // four timeout rounds, short of a fault
+  EXPECT_EQ(link.recv_b->held_words(), 3);
+  EXPECT_GT(link.stats.get("scu.stale_data"), 0u);
+  EXPECT_EQ(link.stats.get("scu.acks"), 0u);
+  EXPECT_FALSE(link.send_a->data_drained());
+  std::vector<u64> got;
+  link.recv_b->set_data_sink([&](u64 w) { got.push_back(w); });
+  link.engine.run_until_idle();
+  ASSERT_EQ(got.size(), 10u);
+  for (u64 i = 0; i < 10; ++i) EXPECT_EQ(got[i], i);
+  EXPECT_TRUE(link.send_a->data_drained());
+  EXPECT_FALSE(link.send_a->faulted());
+}
+
+TEST(Link, CorruptedFramesAreDetectedAndChecksumsStillMatch) {
+  // BER > 0: frames with flipped bits take the encode/corrupt/decode path
+  // and the parity checks must catch them; the resend path repairs every
+  // detected one.  A multi-bit error can defeat parity (counted as
+  // undetected), and only then may the end-to-end checksums disagree.
+  int clean_runs = 0;
+  for (const double ber : {1e-4, 3e-4}) {
+    LinkParams params;
+    params.resend_timeout_cycles = 512;
+    LinkPair link(ber, params);
+    std::vector<u64> got;
+    link.recv_b->set_data_sink([&](u64 w) { got.push_back(w); });
+    Rng payloads(17);
+    std::vector<u64> sent;
+    for (int i = 0; i < 800; ++i) {
+      sent.push_back(payloads.next_u64());
+      link.send_a->enqueue_data(sent.back());
+    }
+    link.engine.run_until_idle();
+    EXPECT_GT(link.stats.get("hssl.bits_flipped"), 0u) << "BER " << ber;
+    EXPECT_GT(link.recv_b->detected_errors(), 0u) << "BER " << ber;
+    EXPECT_EQ(link.recv_b->detected_errors() + link.recv_a->detected_errors(),
+              link.stats.get("scu.detected_errors"));
+    EXPECT_TRUE(link.send_a->data_drained());
+    ASSERT_EQ(got.size(), sent.size());
+    if (link.recv_b->undetected_errors() == 0) {
+      ++clean_runs;
+      EXPECT_EQ(got, sent) << "BER " << ber;
+      EXPECT_EQ(link.send_a->checksum(), link.recv_b->checksum())
+          << "BER " << ber;
+    } else if (got != sent) {
+      EXPECT_NE(link.send_a->checksum(), link.recv_b->checksum())
+          << "BER " << ber;
+    }
+  }
+  EXPECT_GT(clean_runs, 0);
+}
+
 TEST(Link, HighErrorRateGoBackNKeepsChecksumsMatched) {
   LinkParams params;
   params.resend_timeout_cycles = 512;
@@ -554,6 +661,72 @@ TEST(Link, ForcedCorruptionLandsInChecksumOnly) {
   EXPECT_TRUE(link.send_a->data_drained());
   EXPECT_EQ(link.recv_b->undetected_errors(), 1u);
   EXPECT_NE(link.send_a->checksum(), link.recv_b->checksum());
+}
+
+/// Sits between a wire and its RecvSide and records every payload the
+/// far SendSide emitted.
+struct Tap final : hssl::Receiver {
+  RecvSide* next = nullptr;
+  std::vector<hssl::Payload> seen;
+  void on_frame(const hssl::Payload& p, int flipped) override {
+    seen.push_back(p);
+    next->on_frame(p, flipped);
+  }
+};
+
+TEST(LinkProperty, EveryEmittedPacketRoundTripsThroughTheCodec) {
+  // The receiver uses a clean frame as sent, skipping encode/decode; that
+  // is exact only if every packet a SendSide emits is normalized, i.e.
+  // decode(encode(p)) == p.  Drive every packet class both ways -- data,
+  // acks, NACKs and go-back resends (BER > 0), timeout resends and stale
+  // re-acks (dropped acks), supervisor packets and SupAcks, partition
+  // interrupts -- and check every frame that crossed either wire.
+  LinkParams params;
+  params.resend_timeout_cycles = 512;
+  LinkPair link(5e-4, params);
+  Tap tap_b, tap_a;
+  tap_b.next = link.recv_b.get();
+  tap_a.next = link.recv_a.get();
+  link.wire_ab->set_receiver(&tap_b);
+  link.wire_ba->set_receiver(&tap_a);
+  std::vector<u64> got_b, got_a;
+  link.recv_b->set_data_sink([&](u64 w) { got_b.push_back(w); });
+  link.recv_a->set_data_sink([&](u64 w) { got_a.push_back(w); });
+  link.recv_b->set_supervisor_handler([](u64) {});
+  link.recv_b->set_pirq_handler([](u8) {});
+  link.send_a->drop_acks(5);
+  link.send_b->drop_acks(3);
+  Rng rng(23);
+  for (int i = 0; i < 300; ++i) {
+    link.send_a->enqueue_data(rng.next_u64());
+    link.send_b->enqueue_data(rng.next_u64());
+    if (i % 30 == 0) link.send_a->enqueue_supervisor(rng.next_u64());
+    if (i % 25 == 0) link.send_a->enqueue_partition_irq(static_cast<u8>(i));
+  }
+  link.engine.run_until_idle();
+  ASSERT_EQ(got_b.size(), 300u);
+  ASSERT_EQ(got_a.size(), 300u);
+  EXPECT_GT(link.stats.get("scu.detected_errors"), 0u);
+  EXPECT_GT(link.stats.get("scu.timeout_resends"), 0u);
+
+  std::array<int, 16> classes{};
+  for (const Tap* tap : {&tap_a, &tap_b}) {
+    for (const hssl::Payload& in : tap->seen) {
+      const Packet p{static_cast<PacketType>(in.type), in.word, in.seq};
+      const auto d = decode(encode(p));
+      ASSERT_TRUE(d.has_value()) << "type " << int{in.type};
+      EXPECT_EQ(d->type, p.type);
+      EXPECT_EQ(d->payload, p.payload);
+      EXPECT_EQ(d->seq, p.seq);
+      ++classes[in.type & 0xf];
+    }
+  }
+  for (const PacketType t :
+       {PacketType::kData, PacketType::kSupervisor, PacketType::kPartitionIrq,
+        PacketType::kAck, PacketType::kNack, PacketType::kSupAck}) {
+    EXPECT_GT(classes[static_cast<u8>(t)], 0)
+        << "packet class " << int{static_cast<u8>(t)} << " never emitted";
+  }
 }
 
 // Window-size sweep as a property: bandwidth must be monotone in the

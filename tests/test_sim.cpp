@@ -3,6 +3,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/parallel_engine.h"
 #include "sim/stats.h"
 
@@ -120,6 +121,36 @@ TEST(Engine, OrderDigestDetectsDifferentSchedules) {
   c.run_until_idle();
   EXPECT_EQ(a.trace_digest(), b.trace_digest());
   EXPECT_NE(a.trace_digest(), c.trace_digest());
+}
+
+TEST(Engine, FnvFoldMatchesTheBytewiseFold) {
+  // fnv1a folds a value's high zero bytes as one multiply; the digest must
+  // equal the plain eight-step byte fold on every input.
+  auto bytewise = [](u64 h, u64 v) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ (v & 0xffu)) * detail::kFnvPrime;
+      v >>= 8;
+    }
+    return h;
+  };
+  std::vector<u64> values = {0,          1,          0xff,       0x100,
+                             u64{1} << 56, ~u64{0},   u64{1} << 63,
+                             0x00ff00ff00ff00ffull,   0xff00000000000000ull};
+  Rng rng(31);
+  for (int i = 0; i < 2000; ++i) {
+    // Random widths so every count of high zero bytes appears.
+    values.push_back(rng.next_u64() >> (8 * rng.next_below(8)));
+  }
+  u64 h = detail::kFnvOffset;
+  u64 ref = detail::kFnvOffset;
+  for (const u64 v : values) {
+    EXPECT_EQ(detail::fnv1a(detail::kFnvOffset, v),
+              bytewise(detail::kFnvOffset, v))
+        << std::hex << v;
+    h = detail::fnv1a(h, v);
+    ref = bytewise(ref, v);
+  }
+  EXPECT_EQ(h, ref);
 }
 
 TEST(Stats, AccumulatesAndSnapshots) {

@@ -7,12 +7,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <array>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "snapshot_rig.h"
 
 namespace qcdoc::snapshot {
@@ -111,6 +114,45 @@ TEST(SnapshotBytes, TrailingGarbageIsCaught) {
   u32 v = 0;
   EXPECT_TRUE(src.get_u32(&v).ok);
   EXPECT_FALSE(src.expect_exhausted().ok);
+}
+
+/// The bytewise table CRC-32 the sliced one must reproduce.
+u32 crc32_bytewise(std::span<const u8> bytes, u32 seed) {
+  std::array<u32, 256> table{};
+  for (u32 i = 0; i < 256; ++i) {
+    u32 c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  u32 c = seed ^ 0xffffffffu;
+  for (const u8 b : bytes) c = table[(c ^ b) & 0xffu] ^ (c >> 8);
+  return c ^ 0xffffffffu;
+}
+
+TEST(SnapshotBytes, Crc32MatchesBytewiseOracle) {
+  const std::string check = "123456789";
+  const std::span<const u8> check_bytes(
+      reinterpret_cast<const u8*>(check.data()), check.size());
+  EXPECT_EQ(crc32(check_bytes), 0xCBF43926u);  // the CRC-32 check value
+  EXPECT_EQ(crc32(std::span<const u8>{}), 0u);
+
+  // Random lengths at every alignment, and seeded continuation, so every
+  // split between the 8-byte loop and the byte tail is covered.
+  Rng rng(2024);
+  std::vector<u8> buf(4096 + 16);
+  for (u8& b : buf) b = static_cast<u8>(rng.next_u64());
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t offset = rng.next_below(16);
+    const std::size_t len =
+        trial < 40 ? static_cast<std::size_t>(trial) : rng.next_below(4096);
+    const std::span<const u8> s(buf.data() + offset, len);
+    const u32 seed = trial % 2 == 0 ? 0u : static_cast<u32>(rng.next_u64());
+    ASSERT_EQ(crc32(s, seed), crc32_bytewise(s, seed))
+        << "offset " << offset << " length " << len;
+    const std::size_t cut = len == 0 ? 0 : rng.next_below(len);
+    EXPECT_EQ(crc32(s.subspan(cut), crc32(s.subspan(0, cut), seed)),
+              crc32_bytewise(s, seed));
+  }
 }
 
 // --- container format ----------------------------------------------------

@@ -11,19 +11,12 @@ namespace {
 
 // Shared CG engine.  `audit` == nullptr runs the plain solver; otherwise
 // every audit->interval iterations (and before declaring convergence) the
-// link checksums are audited, with rollback to the last clean checkpoint
-// on a mismatch.
+// detectors are audited, with rollback to the last clean checkpoint on a
+// mismatch.
 CgResult cg_run(DiracOperator& op, DistField& x, DistField& b,
                 const CgParams& params, const CgAuditParams* audit) {
   FieldOps& ops = op.ops();
-  auto& bsp = ops.bsp();
-
-  const Cycle start_cycle = bsp.now();
-  const double start_flops = ops.flops();
-  const double start_compute = bsp.compute_cycles();
-  const double start_comm = bsp.comm_cycles();
-  const double start_global = bsp.global_cycles();
-  const TrafficByPrecision start_traffic = ops.traffic();
+  const SolveMeter meter(ops);
 
   // Working fields: an externally supplied workspace (the resume path, which
   // must allocate before restoring memory contents) or internal allocations
@@ -58,78 +51,44 @@ CgResult cg_run(DiracOperator& op, DistField& x, DistField& b,
     ops.copy(r, p);
     rsq = ops.norm2(r);
   };
+  // The rollback: recompute the true residual from the clean x; p == r
+  // afterwards, so the Krylov space restarts.
+  const auto rollback = [&] {
+    ops.copy(*xck, x);
+    recompute_residual();
+  };
 
   CgResult result;
-  // One audit of the interval since the previous call: link checksums and
-  // memory machine checks are independent detectors feeding the same
-  // rollback.  Both are always polled (never short-circuited) so each
-  // detector's baseline advances and a dirty interval is fully consumed.
-  const auto interval_clean = [&]() -> bool {
-    ++result.audits;
-    bool ok = true;
-    if (audit->clean && !audit->clean()) {
-      ++result.audit_failures;
-      ok = false;
-    }
-    if (audit->mem_clean && !audit->mem_clean()) {
-      ++result.mem_checks;
-      ok = false;
-    }
-    return ok;
-  };
+  AuditedLoop loop(audit, &result, &result.iterations, rollback);
   double rhs_norm2 = 0;  // reference scale: |M^+ b| for x0 = 0
   const auto fire_checkpoint = [&] {
     if (!audit || !audit->on_checkpoint) return;
-    CgCheckpoint ck;
-    ck.iterations = result.iterations;
-    ck.rsq = rsq;
-    ck.rhs_norm2 = rhs_norm2;
-    ck.restarts = result.restarts;
-    ck.audits = result.audits;
-    ck.audit_failures = result.audit_failures;
-    ck.mem_checks = result.mem_checks;
-    audit->on_checkpoint(ck);
+    audit->on_checkpoint(CgCheckpoint{result, result.iterations, rsq,
+                                      rhs_norm2});
   };
   if (audit && audit->resume) {
     // x and the workspace fields already hold the checkpoint's restored
     // contents (loop-top state); recomputing anything would diverge from
     // the uninterrupted run's event trace.
     const CgCheckpoint& ck = *audit->resume;
+    static_cast<AuditCounters&>(result) = ck;
     result.iterations = ck.iterations;
-    result.restarts = ck.restarts;
-    result.audits = ck.audits;
-    result.audit_failures = ck.audit_failures;
-    result.mem_checks = ck.mem_checks;
     rsq = ck.rsq;
     rhs_norm2 = ck.rhs_norm2;
   } else {
     if (audit) ops.copy(x, *xck);
     recompute_residual();
-    if (audit) {
-      // Baseline audit: the initial residual itself crosses the mesh, and a
-      // corruption here would poison the reference scale.
-      while (!interval_clean() && result.restarts < audit->max_restarts) {
-        ++result.restarts;
-        ops.copy(*xck, x);
-        recompute_residual();
-      }
-    }
+    const bool clean = loop.baseline(rollback);
     rhs_norm2 = rsq;
-    fire_checkpoint();
+    if (clean) fire_checkpoint();
   }
   const double target =
       params.tolerance * params.tolerance * (rhs_norm2 > 0 ? rhs_norm2 : 1.0);
 
   const int iters = params.fixed_iterations > 0 ? params.fixed_iterations
                                                 : params.max_iterations;
-  // With restarts, rolled-back iterations don't count as productive work;
-  // the guard bounds total loop trips even if every interval is dirty.
-  const int max_trips =
-      audit ? iters * (audit->max_restarts + 1) + audit->max_restarts : iters;
-  int since_audit = 0;
-  bool gave_up = false;
+  const int max_trips = loop.max_trips(iters);
   for (int trip = 0; trip < max_trips && result.iterations < iters; ++trip) {
-    bool checkpointed = false;
     // ap = M^+ M p   (two Dirac applications per iteration)
     op.apply(tmp, p);
     op.apply_dag(ap, tmp);
@@ -141,42 +100,17 @@ CgResult cg_run(DiracOperator& op, DistField& x, DistField& b,
     ops.axpy(-alpha, ap, r);
     const double rsq_new = ops.norm2(r);
     ++result.iterations;
-    ++since_audit;
 
     const bool looks_converged =
         params.fixed_iterations == 0 && rsq_new < target;
-
-    if (audit && (looks_converged || since_audit >= audit->interval ||
-                  result.iterations == iters)) {
-      if (!interval_clean()) {
-        // Corruption somewhere in this interval -- bad link traffic or an
-        // uncorrectable memory word: every iterate since the checkpoint is
-        // suspect.  Roll back and recompute the true residual; the
-        // checkpoint copy rewrites any poisoned words with known-good
-        // data, and the recomputation is itself audited.
-        bool recovered = false;
-        while (result.restarts < audit->max_restarts) {
-          ++result.restarts;
-          result.iterations -= since_audit;  // the interval was wasted
-          ops.copy(*xck, x);
-          recompute_residual();
-          since_audit = 0;
-          if (interval_clean()) {
-            recovered = true;
-            break;
-          }
-        }
-        if (!recovered) {
-          gave_up = true;
-          rsq = rsq_new;
-          break;
-        }
-        continue;  // p == r after recompute; restart the Krylov space
-      }
-      ops.copy(x, *xck);
-      since_audit = 0;
-      checkpointed = true;
+    const AuditVerdict verdict =
+        loop.end_step(looks_converged || result.iterations == iters);
+    if (verdict == AuditVerdict::kGaveUp) {
+      rsq = rsq_new;
+      break;
     }
+    if (verdict == AuditVerdict::kRolledBack) continue;
+    if (verdict == AuditVerdict::kClean) ops.copy(x, *xck);
 
     if (looks_converged) {
       // Without auditing this is immediate; with auditing we only reach
@@ -190,20 +124,15 @@ CgResult cg_run(DiracOperator& op, DistField& x, DistField& b,
     ops.xpay(r, beta, p);
     // Loop-top state is complete (p updated): a clean checkpoint taken this
     // trip is now resumable, so let the snapshot layer persist it.
-    if (checkpointed) fire_checkpoint();
+    if (verdict == AuditVerdict::kClean) fire_checkpoint();
   }
   result.relative_residual =
       rhs_norm2 > 0 ? std::sqrt(rsq / rhs_norm2) : std::sqrt(rsq);
-  if (params.fixed_iterations > 0 && !gave_up) {
+  if (params.fixed_iterations > 0 && !loop.gave_up()) {
     result.converged = result.relative_residual <= params.tolerance;
   }
 
-  result.cycles = bsp.now() - start_cycle;
-  result.flops = ops.flops() - start_flops;
-  result.compute_cycles = bsp.compute_cycles() - start_compute;
-  result.comm_cycles = bsp.comm_cycles() - start_comm;
-  result.global_cycles = bsp.global_cycles() - start_global;
-  result.traffic = ops.traffic() - start_traffic;
+  meter.finish(&result);
   QCDOC_INFO << "cg[" << op.name() << "]: " << result.iterations
              << " iterations, |r|/|b| = " << result.relative_residual
              << (audit ? (", " + std::to_string(result.restarts) + " restarts")
@@ -212,6 +141,41 @@ CgResult cg_run(DiracOperator& op, DistField& x, DistField& b,
 }
 
 }  // namespace
+
+void CgCheckpoint::encode(snapshot::ByteSink* sink) const {
+  sink->put_u32(static_cast<u32>(iterations));
+  sink->put_double(rsq);
+  sink->put_double(rhs_norm2);
+  sink->put_u32(static_cast<u32>(restarts));
+  sink->put_u64(audits);
+  sink->put_u64(audit_failures);
+  sink->put_u64(mem_checks);
+}
+
+snapshot::Status CgCheckpoint::decode_fields(snapshot::ByteSource* src) {
+  // The section ends with these fields: trailing bytes are a failure too.
+  u32 iters = 0, rest = 0;
+  if (snapshot::Status s = src->get_u32(&iters); !s) return s;
+  if (snapshot::Status s = src->get_double(&rsq); !s) return s;
+  if (snapshot::Status s = src->get_double(&rhs_norm2); !s) return s;
+  if (snapshot::Status s = src->get_u32(&rest); !s) return s;
+  if (snapshot::Status s = src->get_u64(&audits); !s) return s;
+  if (snapshot::Status s = src->get_u64(&audit_failures); !s) return s;
+  if (snapshot::Status s = src->get_u64(&mem_checks); !s) return s;
+  iterations = static_cast<int>(iters);
+  restarts = static_cast<int>(rest);
+  return src->expect_exhausted();
+}
+
+snapshot::Status CgCheckpoint::decode(const snapshot::SnapshotFile& file,
+                                      CgCheckpoint* out) {
+  std::optional<snapshot::ByteSource> src;
+  if (snapshot::Status s = file.open(snapshot::kSecSolver, &src); !s) return s;
+  CgCheckpoint ck;
+  if (snapshot::Status s = ck.decode_fields(&*src); !s) return s;
+  *out = ck;
+  return snapshot::Status::good();
+}
 
 CgWorkspace CgWorkspace::make(DiracOperator& op) {
   // Allocation order is load-bearing: it must match what cg_run would

@@ -10,7 +10,9 @@
 
 #include <functional>
 
+#include "lattice/audit.h"
 #include "lattice/dirac.h"
+#include "snapshot/format.h"
 
 namespace qcdoc::lattice {
 
@@ -26,14 +28,23 @@ struct CgParams {
 /// contents -- x and the workspace fields live in simulated node memory and
 /// ride a machine snapshot -- this is everything needed to resume the exact
 /// Krylov trajectory in a fresh process.
-struct CgCheckpoint {
+struct CgCheckpoint : AuditCounters {
   int iterations = 0;
   double rsq = 0;        ///< |r|^2 at the checkpoint (bit pattern matters)
   double rhs_norm2 = 0;  ///< reference scale |M^+ b|^2
-  int restarts = 0;
-  u64 audits = 0;
-  u64 audit_failures = 0;
-  u64 mem_checks = 0;
+
+  /// The snapshot's kSecSolver payload, little-endian: u32 iterations,
+  /// f64 rsq, f64 rhs_norm2, u32 restarts, u64 audits, u64 audit_failures,
+  /// u64 mem_checks.
+  void encode(snapshot::ByteSink* sink) const;
+  /// Reads `file`'s kSecSolver section.  A missing or truncated section, or
+  /// trailing bytes, is a failure that leaves `out` untouched.
+  static snapshot::Status decode(const snapshot::SnapshotFile& file,
+                                 CgCheckpoint* out);
+
+ protected:
+  /// Reads the fields above from the rest of a section payload.
+  snapshot::Status decode_fields(snapshot::ByteSource* src);
 };
 
 /// The audited solver's working fields, in the solver's canonical
@@ -46,26 +57,8 @@ struct CgWorkspace {
   static CgWorkspace make(DiracOperator& op);
 };
 
-/// Checksum-audit policy for the fault-tolerant solver.  The paper compares
-/// per-link checksums at the end of a calculation; auditing every few
-/// iterations instead lets a multi-day run restart from its last known-clean
-/// checkpoint when an undetected corruption slips past the link parity.
-struct CgAuditParams {
-  /// Returns true when all link traffic since the *previous* call matched
-  /// checksums (e.g. fault::ChecksumAuditor::clean_since_last).  Called at
-  /// iteration boundaries, where the BSP runtime leaves the mesh quiescent.
-  std::function<bool()> clean;
-  /// Returns true when no node latched an ECC machine check since the
-  /// previous call (e.g. fault::MemCheckAuditor::clean_since_last).  An
-  /// uncorrectable memory word is treated exactly like corrupted link
-  /// traffic: roll back to the checkpoint -- whose copy rewrites the
-  /// poisoned words with known-good data -- and recompute.  Either or both
-  /// of `clean` / `mem_clean` may be set; both are always polled so each
-  /// detector's interval baseline advances.
-  std::function<bool()> mem_clean;
-  int interval = 10;     ///< iterations between audits
-  int max_restarts = 8;  ///< give up after this many rollbacks
-
+/// Audit policy plus the crash-consistency hooks of the fault-tolerant CG.
+struct CgAuditParams : AuditPolicy {
   /// Fired whenever the solver lands on a clean checkpoint: after the
   /// baseline audit, and at the end of every loop trip whose audit passed.
   /// The mesh is quiescent and the fields hold exactly loop-top state, so
@@ -80,30 +73,15 @@ struct CgAuditParams {
   const CgCheckpoint* resume = nullptr;
 };
 
-struct CgResult {
+/// Outcome of a Krylov solve.  The audit counters stay zero unless the
+/// solve was audited.
+struct CgResult : AuditCounters, SolveCost {
   bool converged = false;
   int iterations = 0;
   double relative_residual = 0;
 
-  // Fault-tolerance accounting (cg_solve_audited only).
-  int restarts = 0;         ///< rollbacks to the last clean checkpoint
-  u64 audits = 0;           ///< checksum audits performed
-  u64 audit_failures = 0;   ///< audits that found corrupted traffic
-  u64 mem_checks = 0;       ///< audits that found uncorrectable memory
-
   // Mixed-precision accounting (reliable-update solvers only).
   int reliable_updates = 0;  ///< double-precision residual replacements
-
-  // Machine-level accounting over the solve.
-  double flops = 0;          ///< total useful flops (whole machine)
-  Cycle cycles = 0;          ///< machine time
-  double compute_cycles = 0;
-  double comm_cycles = 0;    ///< exposed (non-overlapped) communication
-  double global_cycles = 0;  ///< global sums
-  /// Flop/byte traffic of the solve split by storage precision (delta of
-  /// FieldOps::traffic over the solve) -- the honest ledger behind the
-  /// predicted mixed-precision speedups.
-  TrafficByPrecision traffic{};
 
   /// Sustained fraction of machine peak.
   double efficiency(double peak_flops_per_cycle_machine) const {
@@ -119,10 +97,11 @@ CgResult cg_solve(DiracOperator& op, DistField& x, DistField& b,
                   const CgParams& params);
 
 /// Fault-tolerant CG: every `audit.interval` iterations (and before
-/// declaring convergence) the solver audits the link checksums.  A clean
-/// audit checkpoints x; a dirty one rolls x back to the checkpoint and
-/// recomputes the true residual, so corrupted halo traffic costs at most
-/// one audit interval.  Convergence is only ever declared on clean data.
+/// declaring convergence) the solver audits the link checksums and memory
+/// machine checks.  A clean audit checkpoints x; a dirty one rolls x back
+/// to the checkpoint and recomputes the true residual, so corrupted halo
+/// traffic costs at most one audit interval.  Convergence is only ever
+/// declared on clean data.
 CgResult cg_solve_audited(DiracOperator& op, DistField& x, DistField& b,
                           const CgParams& params,
                           const CgAuditParams& audit);

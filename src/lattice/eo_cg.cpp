@@ -149,17 +149,11 @@ class ParityOps {
 CgResult asqtad_eo_solve(AsqtadDirac& op, DistField& x, DistField& b,
                          const CgParams& params) {
   FieldOps& ops = op.ops();
-  auto& bsp = ops.bsp();
   const auto& geom = op.geometry();
   const double m = op.params().mass;
   const double m2 = m * m;
 
-  const Cycle start_cycle = bsp.now();
-  const double start_flops = ops.flops();
-  const double start_compute = bsp.compute_cycles();
-  const double start_comm = bsp.comm_cycles();
-  const double start_global = bsp.global_cycles();
-  const TrafficByPrecision start_traffic = ops.traffic();
+  const SolveMeter meter(ops);
 
   ParityOps even(&ops, &geom, 0);
   ParityOps odd(&ops, &geom, 1);
@@ -236,12 +230,7 @@ CgResult asqtad_eo_solve(AsqtadDirac& op, DistField& x, DistField& b,
     result.converged = result.relative_residual <= params.tolerance;
   }
 
-  result.cycles = bsp.now() - start_cycle;
-  result.flops = ops.flops() - start_flops;
-  result.compute_cycles = bsp.compute_cycles() - start_compute;
-  result.comm_cycles = bsp.comm_cycles() - start_comm;
-  result.global_cycles = bsp.global_cycles() - start_global;
-  result.traffic = ops.traffic() - start_traffic;
+  meter.finish(&result);
   QCDOC_INFO << "eo-cg[asqtad]: " << result.iterations
              << " iterations, |r|/|b| = " << result.relative_residual;
   return result;
@@ -250,17 +239,11 @@ CgResult asqtad_eo_solve(AsqtadDirac& op, DistField& x, DistField& b,
 CgResult wilson_eo_solve(WilsonDirac& op, DistField& x, DistField& b,
                          const CgParams& params) {
   FieldOps& ops = op.ops();
-  auto& bsp = ops.bsp();
   const auto& geom = op.geometry();
   const double kappa = op.params().kappa;
   const double k2 = kappa * kappa;
 
-  const Cycle start_cycle = bsp.now();
-  const double start_flops = ops.flops();
-  const double start_compute = bsp.compute_cycles();
-  const double start_comm = bsp.comm_cycles();
-  const double start_global = bsp.global_cycles();
-  const TrafficByPrecision start_traffic = ops.traffic();
+  const SolveMeter meter(ops);
 
   ParityOps even(&ops, &geom, 0);
 
@@ -351,12 +334,7 @@ CgResult wilson_eo_solve(WilsonDirac& op, DistField& x, DistField& b,
     result.converged = result.relative_residual <= params.tolerance;
   }
 
-  result.cycles = bsp.now() - start_cycle;
-  result.flops = ops.flops() - start_flops;
-  result.compute_cycles = bsp.compute_cycles() - start_compute;
-  result.comm_cycles = bsp.comm_cycles() - start_comm;
-  result.global_cycles = bsp.global_cycles() - start_global;
-  result.traffic = ops.traffic() - start_traffic;
+  meter.finish(&result);
   QCDOC_INFO << "eo-cg[wilson]: " << result.iterations
              << " iterations, |r|/|b| = " << result.relative_residual;
   return result;

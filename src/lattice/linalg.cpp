@@ -280,4 +280,26 @@ double FieldOps::dot_re(const DistField& x, const DistField& y) {
   return global_sum(0.0, std::move(partials));
 }
 
+SolveCost SolveMeter::read(FieldOps& ops) {
+  machine::BspRunner& bsp = ops.bsp();
+  SolveCost c;
+  c.flops = ops.flops();
+  c.cycles = bsp.now();
+  c.compute_cycles = bsp.compute_cycles();
+  c.comm_cycles = bsp.comm_cycles();
+  c.global_cycles = bsp.global_cycles();
+  c.traffic = ops.traffic();
+  return c;
+}
+
+void SolveMeter::finish(SolveCost* out) const {
+  const SolveCost end = read(ops_);
+  out->flops = end.flops - start_.flops;
+  out->cycles = end.cycles - start_.cycles;
+  out->compute_cycles = end.compute_cycles - start_.compute_cycles;
+  out->comm_cycles = end.comm_cycles - start_.comm_cycles;
+  out->global_cycles = end.global_cycles - start_.global_cycles;
+  out->traffic = end.traffic - start_.traffic;
+}
+
 }  // namespace qcdoc::lattice

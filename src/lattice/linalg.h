@@ -117,4 +117,30 @@ class FieldOps {
   TrafficByPrecision traffic_{};
 };
 
+/// Machine-level cost of one solve: deltas of the machine and FieldOps
+/// counters over the solve.
+struct SolveCost {
+  double flops = 0;          ///< total useful flops (whole machine)
+  Cycle cycles = 0;          ///< machine time
+  double compute_cycles = 0;
+  double comm_cycles = 0;    ///< exposed (non-overlapped) communication
+  double global_cycles = 0;  ///< global sums
+  /// Flop/byte traffic of the solve split by storage precision -- the
+  /// honest ledger behind the predicted mixed-precision speedups.
+  TrafficByPrecision traffic{};
+};
+
+/// Reads the counters when a solve starts; `finish` writes the deltas.
+class SolveMeter {
+ public:
+  explicit SolveMeter(FieldOps& ops) : ops_(ops), start_(read(ops)) {}
+  void finish(SolveCost* out) const;
+
+ private:
+  static SolveCost read(FieldOps& ops);
+
+  FieldOps& ops_;
+  SolveCost start_;
+};
+
 }  // namespace qcdoc::lattice

@@ -22,20 +22,31 @@ MixedCgWorkspace MixedCgWorkspace::make(DiracOperator& op, Precision sloppy) {
   return ws;
 }
 
+void MixedCgCheckpoint::encode(snapshot::ByteSink* sink) const {
+  sink->put_u32(static_cast<u32>(outer));
+  CgCheckpoint::encode(sink);
+}
+
+snapshot::Status MixedCgCheckpoint::decode(const snapshot::SnapshotFile& file,
+                                           MixedCgCheckpoint* out) {
+  std::optional<snapshot::ByteSource> src;
+  if (snapshot::Status s = file.open(snapshot::kSecSolver, &src); !s) return s;
+  u32 outer = 0;
+  if (snapshot::Status s = src->get_u32(&outer); !s) return s;
+  MixedCgCheckpoint ck;
+  if (snapshot::Status s = ck.decode_fields(&*src); !s) return s;
+  ck.outer = static_cast<int>(outer);
+  *out = ck;
+  return snapshot::Status::good();
+}
+
 namespace {
 
 CgResult mixed_cg_run(DiracOperator& op, DiracOperator& sloppy_op,
                       DistField& x, DistField& b, const MixedCgParams& params,
                       const MixedCgAuditParams* audit) {
   FieldOps& ops = op.ops();
-  auto& bsp = ops.bsp();
-
-  const Cycle start_cycle = bsp.now();
-  const double start_flops = ops.flops();
-  const double start_compute = bsp.compute_cycles();
-  const double start_comm = bsp.comm_cycles();
-  const double start_global = bsp.global_cycles();
-  const TrafficByPrecision start_traffic = ops.traffic();
+  const SolveMeter meter(ops);
 
   std::optional<MixedCgWorkspace> own_ws;
   MixedCgWorkspace* ws = audit ? audit->workspace : nullptr;
@@ -60,69 +71,43 @@ CgResult mixed_cg_run(DiracOperator& op, DiracOperator& sloppy_op,
   };
 
   CgResult result;
-  const auto interval_clean = [&]() -> bool {
-    ++result.audits;
-    bool ok = true;
-    if (audit->clean && !audit->clean()) {
-      ++result.audit_failures;
-      ok = false;
-    }
-    if (audit->mem_clean && !audit->mem_clean()) {
-      ++result.mem_checks;
-      ok = false;
-    }
-    return ok;
-  };
-  double rhs_norm2 = 0;
   int outer = 0;
+  AuditedLoop loop(audit, &result, &outer, [&] {
+    ops.copy(ws->xck, x);
+    recompute_residual();
+  });
+  double rhs_norm2 = 0;
   const auto fire_checkpoint = [&] {
     if (!audit || !audit->on_checkpoint) return;
-    MixedCgCheckpoint ck;
-    ck.outer = outer;
-    ck.iterations = result.iterations;
-    ck.rsq = rsq;
-    ck.rhs_norm2 = rhs_norm2;
-    ck.restarts = result.restarts;
-    ck.audits = result.audits;
-    ck.audit_failures = result.audit_failures;
-    ck.mem_checks = result.mem_checks;
-    audit->on_checkpoint(ck);
+    audit->on_checkpoint(MixedCgCheckpoint{
+        {result, result.iterations, rsq, rhs_norm2}, outer});
   };
 
   if (audit && audit->resume) {
     // x, r, bp and xck already hold the checkpoint's restored contents.
     const MixedCgCheckpoint& ck = *audit->resume;
+    static_cast<AuditCounters&>(result) = ck;
     outer = ck.outer;
     result.iterations = ck.iterations;
-    result.restarts = ck.restarts;
-    result.audits = ck.audits;
-    result.audit_failures = ck.audit_failures;
-    result.mem_checks = ck.mem_checks;
     rsq = ck.rsq;
     rhs_norm2 = ck.rhs_norm2;
   } else {
     op.apply_dag(bp, b);
     if (audit) ops.copy(x, ws->xck);
     recompute_residual();
-    if (audit) {
-      while (!interval_clean() && result.restarts < audit->max_restarts) {
-        ++result.restarts;
-        ops.copy(ws->xck, x);
-        op.apply_dag(bp, b);
-        recompute_residual();
-      }
-    }
+    // A dirty baseline may have corrupted the cached M^+ b too: redo it all.
+    const bool clean = loop.baseline([&] {
+      ops.copy(ws->xck, x);
+      op.apply_dag(bp, b);
+      recompute_residual();
+    });
     rhs_norm2 = rsq;
-    fire_checkpoint();
+    if (clean) fire_checkpoint();
   }
   const double target =
       params.tolerance * params.tolerance * (rhs_norm2 > 0 ? rhs_norm2 : 1.0);
 
-  const int max_trips = audit ? params.max_outer * (audit->max_restarts + 1) +
-                                    audit->max_restarts
-                              : params.max_outer;
-  int since_audit = 0;
-  bool gave_up = false;
+  const int max_trips = loop.max_trips(params.max_outer);
   for (int trip = 0; trip < max_trips && outer < params.max_outer; ++trip) {
     if (rsq < target) {
       result.converged = true;
@@ -161,32 +146,14 @@ CgResult mixed_cg_run(DiracOperator& op, DiracOperator& sloppy_op,
     recompute_residual();
     ++result.reliable_updates;
     ++outer;
-    ++since_audit;
 
     const bool looks_converged = rsq < target;
-    if (audit && (looks_converged || since_audit >= audit->interval ||
-                  outer == params.max_outer)) {
-      if (!interval_clean()) {
-        bool recovered = false;
-        while (result.restarts < audit->max_restarts) {
-          ++result.restarts;
-          outer -= since_audit;
-          ops.copy(ws->xck, x);
-          recompute_residual();
-          since_audit = 0;
-          if (interval_clean()) {
-            recovered = true;
-            break;
-          }
-        }
-        if (!recovered) {
-          gave_up = true;
-          break;
-        }
-        continue;
-      }
+    const AuditVerdict verdict =
+        loop.end_step(looks_converged || outer == params.max_outer);
+    if (verdict == AuditVerdict::kGaveUp) break;
+    if (verdict == AuditVerdict::kRolledBack) continue;
+    if (verdict == AuditVerdict::kClean) {
       ops.copy(x, ws->xck);
-      since_audit = 0;
       // Loop-top state (x, r, rsq) is complete and the mesh quiescent:
       // let the snapshot layer persist a generation.
       fire_checkpoint();
@@ -196,16 +163,10 @@ CgResult mixed_cg_run(DiracOperator& op, DiracOperator& sloppy_op,
       break;
     }
   }
-  if (gave_up) result.converged = false;
   result.relative_residual =
       rhs_norm2 > 0 ? std::sqrt(rsq / rhs_norm2) : std::sqrt(rsq);
 
-  result.cycles = bsp.now() - start_cycle;
-  result.flops = ops.flops() - start_flops;
-  result.compute_cycles = bsp.compute_cycles() - start_compute;
-  result.comm_cycles = bsp.comm_cycles() - start_comm;
-  result.global_cycles = bsp.global_cycles() - start_global;
-  result.traffic = ops.traffic() - start_traffic;
+  meter.finish(&result);
   QCDOC_INFO << "mixed-cg[" << op.name() << "/"
              << precision_name(params.sloppy) << "]: " << result.iterations
              << " sloppy iterations, " << result.reliable_updates
@@ -236,14 +197,7 @@ CgResult mixed_bicgstab_solve(DiracOperator& op, DiracOperator& sloppy_op,
                               DistField& x, DistField& b,
                               const MixedCgParams& params) {
   FieldOps& ops = op.ops();
-  auto& bsp = ops.bsp();
-
-  const Cycle start_cycle = bsp.now();
-  const double start_flops = ops.flops();
-  const double start_compute = bsp.compute_cycles();
-  const double start_comm = bsp.comm_cycles();
-  const double start_global = bsp.global_cycles();
-  const TrafficByPrecision start_traffic = ops.traffic();
+  const SolveMeter meter(ops);
 
   DistField r = op.make_field("mxb.r");
   DistField tmp = op.make_field("mxb.tmp");
@@ -287,12 +241,7 @@ CgResult mixed_bicgstab_solve(DiracOperator& op, DiracOperator& sloppy_op,
   result.relative_residual =
       rhs_norm2 > 0 ? std::sqrt(rsq / rhs_norm2) : std::sqrt(rsq);
 
-  result.cycles = bsp.now() - start_cycle;
-  result.flops = ops.flops() - start_flops;
-  result.compute_cycles = bsp.compute_cycles() - start_compute;
-  result.comm_cycles = bsp.comm_cycles() - start_comm;
-  result.global_cycles = bsp.global_cycles() - start_global;
-  result.traffic = ops.traffic() - start_traffic;
+  meter.finish(&result);
   QCDOC_INFO << "mixed-bicgstab[" << op.name() << "/"
              << precision_name(params.sloppy) << "]: " << result.iterations
              << " sloppy iterations, " << result.reliable_updates

@@ -29,16 +29,15 @@ struct MixedCgParams {
 
 /// Solver scalars at a clean outer-cycle checkpoint (the mixed solver's
 /// quiescent points).  With x, r and the stored right-hand side restored
-/// from a machine snapshot, these resume the exact trajectory.
-struct MixedCgCheckpoint {
-  int outer = 0;       ///< completed reliable-update cycles
-  int iterations = 0;  ///< total sloppy inner iterations
-  double rsq = 0;      ///< double-precision |r|^2 at the checkpoint
-  double rhs_norm2 = 0;
-  int restarts = 0;
-  u64 audits = 0;
-  u64 audit_failures = 0;
-  u64 mem_checks = 0;
+/// from a machine snapshot, these resume the exact trajectory.  Here
+/// `iterations` counts sloppy inner iterations.
+struct MixedCgCheckpoint : CgCheckpoint {
+  int outer = 0;  ///< completed reliable-update cycles
+
+  /// The kSecSolver payload: u32 outer, then CgCheckpoint's layout.
+  void encode(snapshot::ByteSink* sink) const;
+  static snapshot::Status decode(const snapshot::SnapshotFile& file,
+                                 MixedCgCheckpoint* out);
 };
 
 /// Working fields in canonical allocation order (simulated memory is never
@@ -51,13 +50,10 @@ struct MixedCgWorkspace {
   static MixedCgWorkspace make(DiracOperator& op, Precision sloppy);
 };
 
-/// Fault auditing + crash-consistency hooks, mirroring CgAuditParams but
-/// with outer cycles as the audit/checkpoint grain.
-struct MixedCgAuditParams {
-  std::function<bool()> clean;
-  std::function<bool()> mem_clean;
-  int interval = 2;  ///< outer cycles between audits
-  int max_restarts = 8;
+/// Fault auditing + crash-consistency hooks, as CgAuditParams but with
+/// outer cycles as the audit/checkpoint grain.
+struct MixedCgAuditParams : AuditPolicy {
+  MixedCgAuditParams() { interval = 2; }  ///< outer cycles between audits
   std::function<void(const MixedCgCheckpoint&)> on_checkpoint;
   MixedCgWorkspace* workspace = nullptr;
   const MixedCgCheckpoint* resume = nullptr;

@@ -29,14 +29,7 @@ MultishiftResult ms_run(DiracOperator& op, std::vector<DistField>& x,
   const std::size_t ns = params.shifts.size();
   assert(ns >= 1 && x.size() == ns);
   FieldOps& ops = op.ops();
-  auto& bsp = ops.bsp();
-
-  const Cycle start_cycle = bsp.now();
-  const double start_flops = ops.flops();
-  const double start_compute = bsp.compute_cycles();
-  const double start_comm = bsp.comm_cycles();
-  const double start_global = bsp.global_cycles();
-  const TrafficByPrecision start_traffic = ops.traffic();
+  const SolveMeter meter(ops);
 
   const double sigma0 = params.shifts[0];
 
@@ -75,20 +68,6 @@ MultishiftResult ms_run(DiracOperator& op, std::vector<DistField>& x,
   sc.frozen.assign(ns, 0);
   ShiftScalars sck;  // scalar state at the shadow checkpoint
 
-  MultishiftResult result;
-  const auto interval_clean = [&]() -> bool {
-    ++result.audits;
-    bool ok = true;
-    if (audit->clean && !audit->clean()) {
-      ++result.audit_failures;
-      ok = false;
-    }
-    if (audit->mem_clean && !audit->mem_clean()) {
-      ++result.mem_checks;
-      ok = false;
-    }
-    return ok;
-  };
   const auto save_shadow = [&] {
     auto& sh = *shadow;
     std::size_t k = 0;
@@ -122,24 +101,16 @@ MultishiftResult ms_run(DiracOperator& op, std::vector<DistField>& x,
     std::fill(sc.res2.begin(), sc.res2.end(), sc.rsq);
     std::fill(sc.frozen.begin(), sc.frozen.end(), 0);
   };
+  MultishiftResult result;
+  AuditedLoop loop(audit, &result, &result.iterations, restore_shadow);
   init_residual();
-  if (audit) {
-    // Baseline audit: the initial residual itself crosses the mesh.
-    while (!interval_clean() && result.restarts < audit->max_restarts) {
-      ++result.restarts;
-      init_residual();
-    }
-    save_shadow();
-  }
+  if (audit && loop.baseline(init_residual)) save_shadow();
   const double rhs_norm2 = sc.rsq;
   const double target =
       params.tolerance * params.tolerance * (rhs_norm2 > 0 ? rhs_norm2 : 1.0);
 
   const int iters = params.max_iterations;
-  const int max_trips =
-      audit ? iters * (audit->max_restarts + 1) + audit->max_restarts : iters;
-  int since_audit = 0;
-  bool gave_up = false;
+  const int max_trips = loop.max_trips(iters);
   std::vector<double> zeta_next(ns, 1.0);
   for (int trip = 0; trip < max_trips && result.iterations < iters; ++trip) {
     // ap = (M^+ M + sigma_0) p.  With sigma_0 == 0 the operator and vector
@@ -192,42 +163,21 @@ MultishiftResult ms_run(DiracOperator& op, std::vector<DistField>& x,
     sc.rsq = rsq_new;
     ops.xpay(r, beta, p);
     ++result.iterations;
-    ++since_audit;
 
     bool all_done = rsq_new < target;
     for (std::size_t i = 1; i < ns && all_done; ++i) {
       all_done = sc.frozen[i] != 0;
     }
 
-    if (audit && (all_done || since_audit >= audit->interval ||
-                  result.iterations == iters)) {
-      if (!interval_clean()) {
-        // Corruption in this interval: every iterate and every zeta since
-        // the shadow copy is suspect.  Restore the full working set (which
-        // also rewrites any poisoned words) and consume audits until one
-        // interval comes back clean.
-        bool recovered = false;
-        while (result.restarts < audit->max_restarts) {
-          ++result.restarts;
-          result.iterations -= since_audit;
-          restore_shadow();
-          since_audit = 0;
-          if (interval_clean()) {
-            recovered = true;
-            break;
-          }
-        }
-        if (!recovered) {
-          gave_up = true;
-          break;
-        }
-        continue;
-      }
-      save_shadow();
-      since_audit = 0;
-    }
+    // A rollback restores the full working set, zetas included, and also
+    // rewrites any poisoned words.
+    const AuditVerdict verdict =
+        loop.end_step(all_done || result.iterations == iters);
+    if (verdict == AuditVerdict::kGaveUp) break;
+    if (verdict == AuditVerdict::kRolledBack) continue;
+    if (verdict == AuditVerdict::kClean) save_shadow();
     if (all_done) {
-      result.converged = !gave_up;
+      result.converged = true;
       break;
     }
   }
@@ -239,12 +189,7 @@ MultishiftResult ms_run(DiracOperator& op, std::vector<DistField>& x,
                       : std::sqrt(sc.res2[i]);
   }
 
-  result.cycles = bsp.now() - start_cycle;
-  result.flops = ops.flops() - start_flops;
-  result.compute_cycles = bsp.compute_cycles() - start_compute;
-  result.comm_cycles = bsp.comm_cycles() - start_comm;
-  result.global_cycles = bsp.global_cycles() - start_global;
-  result.traffic = ops.traffic() - start_traffic;
+  meter.finish(&result);
   QCDOC_INFO << "multishift[" << op.name() << "]: " << params.shifts.size()
              << " shifts, " << result.iterations << " iterations, |r0|/|b| = "
              << result.relative_residuals[0]

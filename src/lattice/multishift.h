@@ -14,7 +14,6 @@
 // same right-hand side.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "lattice/cg.h"
@@ -29,39 +28,21 @@ struct MultishiftParams {
   int max_iterations = 500;
 };
 
-/// Fault auditing for the multi-shift solver.  Unlike cg_solve_audited --
-/// which re-derives loop state from x -- the shifted recurrence carries
-/// per-shift scalar state that cannot be recomputed from the iterates, so
-/// a clean checkpoint shadow-copies the full working set (base vectors,
-/// every shifted direction and solution) and a dirty audit restores it
-/// exactly.  Rollback cost scales with the shift count; there is no
-/// cross-process resume (use mixed_cg for the checkpoint/restart path).
-struct MultishiftAuditParams {
-  std::function<bool()> clean;      ///< link checksums since last poll
-  std::function<bool()> mem_clean;  ///< ECC machine checks since last poll
-  int interval = 10;
-  int max_restarts = 8;
-};
+/// Fault auditing for the multi-shift solver is the bare policy.  Unlike
+/// cg_solve_audited -- which re-derives loop state from x -- the shifted
+/// recurrence carries per-shift scalar state that cannot be recomputed from
+/// the iterates, so a clean checkpoint shadow-copies the full working set
+/// (base vectors, every shifted direction and solution) and a dirty audit
+/// restores it exactly.  Rollback cost scales with the shift count; there
+/// is no cross-process resume (use mixed_cg for the checkpoint/restart
+/// path).
+using MultishiftAuditParams = AuditPolicy;
 
-struct MultishiftResult {
+struct MultishiftResult : AuditCounters, SolveCost {
   bool converged = false;  ///< every shift reached tolerance
   int iterations = 0;      ///< Dirac-application iterations (shared)
   /// |r_i| / |rhs| per shift, same order as params.shifts.
   std::vector<double> relative_residuals;
-
-  // Fault-tolerance accounting (audited variant only).
-  int restarts = 0;
-  u64 audits = 0;
-  u64 audit_failures = 0;
-  u64 mem_checks = 0;
-
-  // Machine-level accounting over the solve.
-  double flops = 0;
-  Cycle cycles = 0;
-  double compute_cycles = 0;
-  double comm_cycles = 0;
-  double global_cycles = 0;
-  TrafficByPrecision traffic{};
 };
 
 /// Solve (M^+M + sigma_i) x_i = M^+ b for all shifts in one Krylov

@@ -63,33 +63,6 @@ inline u64 field_bits_fnv(const lattice::DistField& f) {
   return h;
 }
 
-inline void encode_solver(const lattice::CgCheckpoint& ck, ByteSink* sink) {
-  sink->put_u32(static_cast<u32>(ck.iterations));
-  sink->put_double(ck.rsq);
-  sink->put_double(ck.rhs_norm2);
-  sink->put_u32(static_cast<u32>(ck.restarts));
-  sink->put_u64(ck.audits);
-  sink->put_u64(ck.audit_failures);
-  sink->put_u64(ck.mem_checks);
-}
-
-inline Status decode_solver(const SnapshotFile& file,
-                            lattice::CgCheckpoint* ck) {
-  std::optional<ByteSource> src;
-  if (Status s = file.open(kSecSolver, &src); !s) return s;
-  u32 iterations = 0, restarts = 0;
-  if (Status s = src->get_u32(&iterations); !s) return s;
-  if (Status s = src->get_double(&ck->rsq); !s) return s;
-  if (Status s = src->get_double(&ck->rhs_norm2); !s) return s;
-  if (Status s = src->get_u32(&restarts); !s) return s;
-  if (Status s = src->get_u64(&ck->audits); !s) return s;
-  if (Status s = src->get_u64(&ck->audit_failures); !s) return s;
-  if (Status s = src->get_u64(&ck->mem_checks); !s) return s;
-  ck->iterations = static_cast<int>(iterations);
-  ck->restarts = static_cast<int>(restarts);
-  return src->expect_exhausted();
-}
-
 /// Run the scenario's audited CG solve.
 ///   - `snapshot_dir == nullptr`: uninterrupted reference run.
 ///   - writer (`snapshot_dir` set, `resume` false): every clean checkpoint
@@ -164,7 +137,7 @@ inline SolveOutcome run_solve(const SolveScenario& sc,
         log.push_back("restore failed: " + s.reason);
         return;
       }
-      if (Status s = decode_solver(file, &resume_ck); !s) {
+      if (Status s = lattice::CgCheckpoint::decode(file, &resume_ck); !s) {
         log.push_back("restore failed: " + s.reason);
         return;
       }
@@ -180,7 +153,7 @@ inline SolveOutcome run_solve(const SolveScenario& sc,
           return;
         }
         ByteSink solver;
-        encode_solver(ck, &solver);
+        ck.encode(&solver);
         file.add_section(kSecSolver, std::move(solver));
         if (Status s = store->save(&file); !s) {
           out.capture_ok = false;

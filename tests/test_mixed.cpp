@@ -190,36 +190,6 @@ struct MixedOutcome {
   std::vector<std::string> log;
 };
 
-void encode_mixed(const MixedCgCheckpoint& ck, snapshot::ByteSink* sink) {
-  sink->put_u32(static_cast<u32>(ck.outer));
-  sink->put_u32(static_cast<u32>(ck.iterations));
-  sink->put_double(ck.rsq);
-  sink->put_double(ck.rhs_norm2);
-  sink->put_u32(static_cast<u32>(ck.restarts));
-  sink->put_u64(ck.audits);
-  sink->put_u64(ck.audit_failures);
-  sink->put_u64(ck.mem_checks);
-}
-
-snapshot::Status decode_mixed(const snapshot::SnapshotFile& file,
-                    MixedCgCheckpoint* ck) {
-  std::optional<snapshot::ByteSource> src;
-  if (snapshot::Status s = file.open(snapshot::kSecSolver, &src); !s) return s;
-  u32 outer = 0, iterations = 0, restarts = 0;
-  if (snapshot::Status s = src->get_u32(&outer); !s) return s;
-  if (snapshot::Status s = src->get_u32(&iterations); !s) return s;
-  if (snapshot::Status s = src->get_double(&ck->rsq); !s) return s;
-  if (snapshot::Status s = src->get_double(&ck->rhs_norm2); !s) return s;
-  if (snapshot::Status s = src->get_u32(&restarts); !s) return s;
-  if (snapshot::Status s = src->get_u64(&ck->audits); !s) return s;
-  if (snapshot::Status s = src->get_u64(&ck->audit_failures); !s) return s;
-  if (snapshot::Status s = src->get_u64(&ck->mem_checks); !s) return s;
-  ck->outer = static_cast<int>(outer);
-  ck->iterations = static_cast<int>(iterations);
-  ck->restarts = static_cast<int>(restarts);
-  return src->expect_exhausted();
-}
-
 u64 field_fnv(const DistField& f) {
   u64 h = sim::detail::kFnvOffset;
   for (int r = 0; r < f.ranks(); ++r) {
@@ -305,7 +275,7 @@ MixedOutcome run_mixed_solve(const std::string* snapshot_dir, bool resume,
         log.push_back("restore failed: " + s.reason);
         return;
       }
-      if (snapshot::Status s = decode_mixed(file, &resume_ck); !s) {
+      if (snapshot::Status s = MixedCgCheckpoint::decode(file, &resume_ck); !s) {
         log.push_back("restore failed: " + s.reason);
         return;
       }
@@ -320,7 +290,7 @@ MixedOutcome run_mixed_solve(const std::string* snapshot_dir, bool resume,
           return;
         }
         snapshot::ByteSink solver;
-        encode_mixed(ck, &solver);
+        ck.encode(&solver);
         file.add_section(snapshot::kSecSolver, std::move(solver));
         if (snapshot::Status s = store->save(&file); !s) {
           log.push_back("save failed: " + s.reason);

@@ -7,7 +7,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "lattice/mixed.h"
 #include "snapshot_rig.h"
 
 namespace qcdoc::snapshot {
@@ -28,6 +31,40 @@ std::string fresh_dir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "qcdoc_snap_" + name;
   std::filesystem::remove_all(dir);
   return dir;
+}
+
+// --- solver section codec ------------------------------------------------
+
+/// A checkpoint with a distinct value in every field.
+lattice::MixedCgCheckpoint sample_checkpoint() {
+  lattice::MixedCgCheckpoint ck;
+  ck.outer = 3;
+  ck.iterations = 41;
+  ck.rsq = 1.25e-9;
+  ck.rhs_norm2 = -0.1;
+  ck.restarts = 2;
+  ck.audits = 9;
+  ck.audit_failures = 1;
+  ck.mem_checks = 5;
+  return ck;
+}
+
+/// `ck` through the codec of `Checkpoint`: sample_checkpoint() encodes as
+/// a plain CG section with Checkpoint = lattice::CgCheckpoint.
+template <class Checkpoint>
+std::vector<u8> encoded(const Checkpoint& ck) {
+  ByteSink sink;
+  ck.encode(&sink);
+  return sink.take();
+}
+
+/// A file whose solver section carries exactly `payload`.
+SnapshotFile solver_file(std::span<const u8> payload) {
+  SnapshotFile file;
+  ByteSink sink;
+  sink.put_raw(payload);
+  file.add_section(kSecSolver, std::move(sink));
+  return file;
 }
 
 // --- bytes ---------------------------------------------------------------
@@ -92,6 +129,27 @@ TEST(SnapshotBytes, TruncationIsADiagnosticNotUb) {
   const Status s = src.get_u64(&v);
   EXPECT_FALSE(s.ok);
   EXPECT_NE(s.reason.find("ENGINE"), std::string::npos) << s.reason;
+
+  // The solver checkpoint codecs: a section torn anywhere, down to empty,
+  // fails with a reason naming the section and leaves the output alone.
+  const std::vector<u8> cg = encoded<lattice::CgCheckpoint>(sample_checkpoint());
+  const std::vector<u8> mixed = encoded(sample_checkpoint());
+  for (std::size_t keep = 0; keep < cg.size(); ++keep) {
+    lattice::CgCheckpoint out;
+    out.iterations = -7;
+    const Status st = lattice::CgCheckpoint::decode(
+        solver_file(std::span(cg).first(keep)), &out);
+    EXPECT_FALSE(st.ok) << keep;
+    EXPECT_NE(st.reason.find("SOLVER"), std::string::npos) << st.reason;
+    EXPECT_EQ(out.iterations, -7);
+  }
+  for (std::size_t keep = 0; keep < mixed.size(); ++keep) {
+    lattice::MixedCgCheckpoint out;
+    const Status st = lattice::MixedCgCheckpoint::decode(
+        solver_file(std::span(mixed).first(keep)), &out);
+    EXPECT_FALSE(st.ok) << keep;
+    EXPECT_EQ(out.outer, 0);
+  }
 }
 
 TEST(SnapshotBytes, HostileVectorLengthIsRejected) {
@@ -114,6 +172,23 @@ TEST(SnapshotBytes, TrailingGarbageIsCaught) {
   u32 v = 0;
   EXPECT_TRUE(src.get_u32(&v).ok);
   EXPECT_FALSE(src.expect_exhausted().ok);
+
+  // A solver section with one byte too many is refused by both codecs.  A
+  // mixed-CG section read as a plain CG one is exactly that case plus four
+  // bytes: the leading `outer` word shifts every field.
+  const std::vector<u8> mixed = encoded(sample_checkpoint());
+  std::vector<u8> long_cg = encoded<lattice::CgCheckpoint>(sample_checkpoint());
+  std::vector<u8> long_mixed = mixed;
+  long_cg.push_back(0);
+  long_mixed.push_back(0);
+  lattice::CgCheckpoint out_cg;
+  lattice::MixedCgCheckpoint out_mixed;
+  EXPECT_FALSE(lattice::CgCheckpoint::decode(solver_file(long_cg), &out_cg).ok);
+  EXPECT_FALSE(
+      lattice::MixedCgCheckpoint::decode(solver_file(long_mixed), &out_mixed)
+          .ok);
+  EXPECT_FALSE(
+      lattice::CgCheckpoint::decode(solver_file(mixed), &out_cg).ok);
 }
 
 /// The bytewise table CRC-32 the sliced one must reproduce.
@@ -200,6 +275,40 @@ TEST(SnapshotFormat, EncodeDecodeRoundTrip) {
   ASSERT_TRUE(src->get_string(&s).ok);
   EXPECT_EQ(s, "payload two");
   EXPECT_FALSE(back.open(kSecSolver, &src).ok);  // missing section
+  lattice::CgCheckpoint ck;
+  EXPECT_FALSE(lattice::CgCheckpoint::decode(back, &ck).ok);
+}
+
+TEST(SnapshotFormat, SolverSectionLayoutRoundTrips) {
+  // u32 iterations, f64 rsq, f64 rhs_norm2, u32 restarts, u64 audits,
+  // u64 audit_failures, u64 mem_checks; mixed CG prefixes u32 outer.
+  const lattice::MixedCgCheckpoint ck = sample_checkpoint();
+  const std::vector<u8> cg = encoded<lattice::CgCheckpoint>(ck);
+  const std::vector<u8> mixed = encoded(ck);
+  ASSERT_EQ(cg.size(), 48u);
+  ASSERT_EQ(mixed.size(), 52u);
+  EXPECT_TRUE(std::equal(cg.begin(), cg.end(), mixed.begin() + 4));
+  ByteSource src(cg, "layout");
+  u32 iterations = 0;
+  double rsq = 0;
+  ASSERT_TRUE(src.get_u32(&iterations).ok);
+  ASSERT_TRUE(src.get_double(&rsq).ok);
+  EXPECT_EQ(iterations, 41u);
+  EXPECT_EQ(rsq, 1.25e-9);
+
+  // Through the whole container, as the checkpoint hooks write it.
+  SnapshotFile back;
+  ASSERT_TRUE(SnapshotFile::decode(solver_file(mixed).encode(), &back).ok);
+  lattice::MixedCgCheckpoint out;
+  ASSERT_TRUE(lattice::MixedCgCheckpoint::decode(back, &out).ok);
+  EXPECT_EQ(out.outer, ck.outer);
+  EXPECT_EQ(out.iterations, ck.iterations);
+  EXPECT_EQ(std::bit_cast<u64>(out.rsq), std::bit_cast<u64>(ck.rsq));
+  EXPECT_EQ(std::bit_cast<u64>(out.rhs_norm2), std::bit_cast<u64>(ck.rhs_norm2));
+  EXPECT_EQ(out.restarts, ck.restarts);
+  EXPECT_EQ(out.audits, ck.audits);
+  EXPECT_EQ(out.audit_failures, ck.audit_failures);
+  EXPECT_EQ(out.mem_checks, ck.mem_checks);
 }
 
 TEST(SnapshotFormat, EveryCorruptionLayerHasItsOwnDiagnostic) {

@@ -27,6 +27,7 @@ struct RunResult {
   double efficiency = 0;
   double sustained_mflops = 0;
   TrafficByPrecision traffic{};
+  sim::EngineReport engine;
 };
 
 template <typename MakeOp>
@@ -44,7 +45,8 @@ RunResult run_cg(Coord4 global, MakeOp make_op) {
   params.fixed_iterations = 10;
   const CgResult r = cg_solve(*op, x, b, params);
   return RunResult{perf::cg_efficiency(*rig.m, r),
-                   perf::cg_sustained_mflops(*rig.m, r), r.traffic};
+                   perf::cg_sustained_mflops(*rig.m, r), r.traffic,
+                   rig.m->engine().report()};
 }
 
 }  // namespace
@@ -110,5 +112,7 @@ int main() {
       "  wilson %.0f Mflops, clover %.0f, asqtad %.0f, dwf %.0f of 1000 peak\n",
       wilson.sustained_mflops / 16, clover.sustained_mflops / 16,
       asqtad.sustained_mflops / 16, dwf.sustained_mflops / 16);
+  std::printf("\nwilson dp %s\n",
+              perf::format_engine_report(wilson.engine).c_str());
   return 0;
 }

@@ -195,6 +195,7 @@ void engine_scaling_section() {
     bench::EngineBenchRun br;
     br.threads = r->threads;
     br.events = r->events;
+    br.virtual_events = r->report.virtual_events;
     br.wall_seconds = r->wall_seconds;
     br.digest = r->digest;
     br.heap_blocks_steady = r->heap_blocks_steady;

@@ -45,6 +45,7 @@ inline void print_engine(machine::Machine& m) {
 struct EngineBenchRun {
   int threads = 1;
   u64 events = 0;
+  u64 virtual_events = 0;  ///< of `events`, folded without dispatch
   double wall_seconds = 0;
   u64 digest = 0;
   u64 heap_blocks_steady = 0;  ///< action-pool growth during the measured
@@ -76,11 +77,14 @@ inline void write_engine_bench_json(const char* path,
                            : 0.0;
     std::fprintf(f,
                  "    {\"threads\": %d, "
-                 "\"events\": %llu, \"wall_seconds\": %.3f, "
+                 "\"events\": %llu, \"virtual_events\": %llu, "
+                 "\"wall_seconds\": %.3f, "
                  "\"events_per_sec\": %.0f, \"digest\": \"%016llx\", "
                  "\"heap_blocks_steady\": %llu}%s\n",
                  r.threads,
-                 static_cast<unsigned long long>(r.events), r.wall_seconds,
+                 static_cast<unsigned long long>(r.events),
+                 static_cast<unsigned long long>(r.virtual_events),
+                 r.wall_seconds,
                  rate, static_cast<unsigned long long>(r.digest),
                  static_cast<unsigned long long>(r.heap_blocks_steady),
                  i + 1 < runs.size() ? "," : "");

@@ -181,6 +181,34 @@ void Hssl::drop_in_flight() {
   in_flight_head_.store(in_flight_tail_, std::memory_order_relaxed);
 }
 
+void Hssl::period_signature(std::vector<u64>& sig) const {
+  const auto frame = [&sig](const Frame& f) {
+    sig.push_back(static_cast<u64>(f.bits));
+    sig.push_back(f.payload.type);
+    sig.push_back(f.payload.seq);
+  };
+  sig.push_back(busy_);
+  sig.push_back(queue_.size() - queue_head_);
+  for (std::size_t i = queue_head_; i < queue_.size(); ++i) frame(queue_[i]);
+  const u64 head = in_flight_head_.load(std::memory_order_relaxed);
+  sig.push_back(in_flight_tail_ - head);
+  for (u64 i = head; i < in_flight_tail_; ++i) {
+    frame(in_flight_[i & (in_flight_.size() - 1)]);
+  }
+}
+
+void Hssl::period_counters(std::vector<u64>& out) const {
+  out.push_back(busy_cycles_);
+  out.push_back(next_frame_id_);
+  out.push_back(rejected_frames_);
+}
+
+void Hssl::skip_periods(u64 n, const u64*& delta) {
+  busy_cycles_ += n * *delta++;
+  next_frame_id_ += n * *delta++;
+  rejected_frames_ += n * *delta++;
+}
+
 Cycle Hssl::idle_cycles() const {
   if (state_ != LinkState::kTrained) return 0;
   const Cycle since_trained = engine_.now() - trained_at_;

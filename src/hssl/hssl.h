@@ -124,6 +124,17 @@ class Hssl {
   u64 times_trained() const { return times_trained_; }
   u64 rejected_frames() const { return rejected_frames_; }
 
+  // --- Virtual periods (see scu::SendSide) ---------------------------------
+  /// Only a trained, error-free wire repeats exactly.
+  [[nodiscard]] bool period_ready() const {
+    return state_ == LinkState::kTrained && cfg_.bit_error_rate == 0.0;
+  }
+  /// Serializer state and every waiting and in-flight frame's length,
+  /// type and sequence number.
+  void period_signature(std::vector<u64>& sig) const;
+  void period_counters(std::vector<u64>& out) const;
+  void skip_periods(u64 n, const u64*& delta);
+
  private:
   struct Frame {
     int bits = 0;

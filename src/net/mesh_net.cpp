@@ -183,6 +183,9 @@ bool MeshNet::quiescent_slow() const {
   return true;
 }
 
-bool MeshNet::drain() { return engine_->drain(active_transfers_); }
+bool MeshNet::drain() {
+  if (sim::ParallelEngine* pe = splice_engine()) return drain_periodic(*pe);
+  return engine_->drain(active_transfers_);
+}
 
 }  // namespace qcdoc::net

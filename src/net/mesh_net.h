@@ -13,6 +13,7 @@
 #include "scu/partition_interrupt.h"
 #include "scu/scu.h"
 #include "sim/engine.h"
+#include "sim/parallel_engine.h"
 #include "torus/coords.h"
 
 namespace qcdoc::net {
@@ -44,6 +45,11 @@ struct MeshConfig {
   /// Partition-interrupt transmit window (a multiple of the ~40 MHz global
   /// clock period, long enough for a flood to cross the machine).
   Cycle pirq_window_cycles = 1 << 14;
+  /// Let drain() splice verified steady-state periods of a halo transfer
+  /// instead of dispatching their events (net/virtual_periods.cpp).  Every
+  /// result, the order digest included, is the same either way; off runs
+  /// every event, the oracle the splice is tested against.
+  bool virtual_periods = true;
 };
 
 class MeshNet {
@@ -57,6 +63,8 @@ class MeshNet {
   int num_nodes() const { return topology_.num_nodes(); }
   sim::Engine& engine() { return *engine_; }
   const MeshConfig& config() const { return cfg_; }
+  /// Switch MeshConfig::virtual_periods on a built mesh.
+  void set_virtual_periods(bool on) { cfg_.virtual_periods = on; }
 
   scu::Scu& scu(NodeId n) { return *scus_[n.value]; }
   memsys::NodeMemory& memory(NodeId n) { return *memories_[n.value]; }
@@ -115,6 +123,30 @@ class MeshNet {
   [[nodiscard]] bool drain();
 
  private:
+  // Virtual periods, implemented in virtual_periods.cpp.
+  struct Boundary;
+  struct Period {
+    std::vector<u64> sig;    ///< relative state the period starts (and ends) in
+    std::vector<u64> delta;  ///< growth of every lifetime counter per period
+    std::vector<u64> words;  ///< words per period on each directed link
+    std::vector<u64> emptied;  ///< times each link's send window emptied
+    /// Every event ran within two periods of being scheduled.
+    bool prompt = false;
+    sim::PeriodTemplate keys;
+  };
+  /// The engine, when it can splice: one shard, switch on, no scrubbers.
+  sim::ParallelEngine* splice_engine() const;
+  Cycle splice_period() const;
+  bool take_boundary(Cycle at, Cycle period, const Boundary* prev,
+                     Boundary& out) const;
+  void learn_period(const Boundary& prev, const Boundary& cur,
+                    const std::vector<std::vector<sim::ExecutedKey>>& keys);
+  Cycle rerun_timeouts(const Boundary& at) const;
+  u64 splice_bound(const Boundary& at, Cycle rerun) const;
+  void splice(sim::ParallelEngine& pe, const Boundary& at, u64 n,
+              Cycle rerun);
+  bool drain_periodic(sim::ParallelEngine& pe);
+
   sim::Engine* engine_;
   MeshConfig cfg_;
   torus::Torus topology_;
@@ -128,6 +160,7 @@ class MeshNet {
   std::vector<NodeCondition> conditions_;
   scu::ActiveCounter active_transfers_;
   bool powered_ = false;
+  Period period_;  ///< last verified period; empty keys until one is seen
 };
 
 }  // namespace qcdoc::net

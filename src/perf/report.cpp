@@ -43,11 +43,14 @@ std::string format_engine_report(const sim::EngineReport& r,
   // counters) only appear on the opt-in wall_clock line.
   std::snprintf(line, sizeof(line),
                 "engine: %d thread%s, lookahead %llu cycles, "
-                "%llu events (shards %llu..%llu), windows %llu par / %llu "
-                "ff / %llu host, %llu cross-shard, peak pending %llu",
+                "%llu events (%llu dispatched, %llu virtual; shards "
+                "%llu..%llu), windows %llu par / %llu ff / %llu host, %llu "
+                "cross-shard, peak pending %llu",
                 r.threads, r.threads == 1 ? "" : "s",
                 static_cast<unsigned long long>(r.lookahead),
                 static_cast<unsigned long long>(r.events),
+                static_cast<unsigned long long>(r.events - r.virtual_events),
+                static_cast<unsigned long long>(r.virtual_events),
                 static_cast<unsigned long long>(min_shard),
                 static_cast<unsigned long long>(max_shard),
                 static_cast<unsigned long long>(r.windows_parallel),

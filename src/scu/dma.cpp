@@ -52,6 +52,7 @@ void RecvDma::start(const DmaDescriptor& desc,
   active_ = true;
   if (active_counter_) active_counter_->increment();
   next_index_ = 0;
+  skip_count_ = 0;
   first_landed_at_ = 0;
   on_complete_ = std::move(on_complete);
   // Installing the sink ends idle receive and drains any held words.
@@ -59,6 +60,10 @@ void RecvDma::start(const DmaDescriptor& desc,
 }
 
 void RecvDma::on_word(u64 word) {
+  if (skip_count_ != 0 && next_index_ == skip_at_) {
+    next_index_ += skip_count_;
+    skip_count_ = 0;
+  }
   assert(active_ && next_index_ < desc_.total_words());
   const u64 addr = desc_.word_addr(next_index_);
   const u64 index = next_index_++;
@@ -79,6 +84,31 @@ void RecvDma::on_word(u64 word) {
       if (on_complete_) on_complete_();
     }
   });
+}
+
+void RecvDma::period_signature(std::vector<u64>& sig, Cycle base) const {
+  sig.push_back(active_);
+  sig.push_back(active_ ? last_landed_at_ - base : 0);
+}
+
+void RecvDma::skip_periods(u64 n, const u64*& delta, Cycle dt) {
+  landed_ += n * *delta++;
+  if (active_) last_landed_at_ += dt;
+}
+
+void RecvDma::land_ahead(u64 in_transit, const u64* words, u64 n) {
+  assert(active_ && skip_count_ == 0 &&
+         next_index_ + in_transit + n < desc_.total_words());
+  const u64 first = next_index_ + in_transit;
+  for (u64 k = 0; k < n; ++k) {
+    memory_->write_word(desc_.word_addr(first + k), words[k]);
+  }
+  if (in_transit == 0) {
+    next_index_ += n;
+  } else {
+    skip_at_ = first;
+    skip_count_ = n;
+  }
 }
 
 }  // namespace qcdoc::scu

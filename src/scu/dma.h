@@ -11,6 +11,7 @@
 #pragma once
 
 #include <functional>
+#include <vector>
 
 #include "common/types.h"
 #include "memsys/memsys.h"
@@ -92,6 +93,23 @@ class RecvDma {
   Cycle first_word_landed_at() const { return first_landed_at_; }
   Cycle last_word_landed_at() const { return last_landed_at_; }
 
+  // --- Virtual periods (see SendSide) --------------------------------------
+  [[nodiscard]] bool period_ready() const { return skip_count_ == 0; }
+  void period_signature(std::vector<u64>& sig, Cycle base) const;
+  void period_counters(std::vector<u64>& out) const {
+    out.push_back(landed_);
+  }
+  void skip_periods(u64 n, const u64*& delta, Cycle dt);
+  /// Slots of the current transfer not yet claimed by an accepted word.
+  u64 words_left() const {
+    return active_ ? desc_.total_words() - next_index_ : 0;
+  }
+  /// Land `n` words a splice moved past the wire.  They follow the
+  /// `in_transit` words still on their way, so they go straight to their
+  /// slots, and the transfer skips those slots once the words in transit
+  /// are in.
+  void land_ahead(u64 in_transit, const u64* words, u64 n);
+
  private:
   void on_word(u64 word);
 
@@ -103,6 +121,8 @@ class RecvDma {
   DmaDescriptor desc_;
   bool active_ = false;
   u64 next_index_ = 0;
+  u64 skip_at_ = 0;     ///< slot index where land_ahead()'s words begin
+  u64 skip_count_ = 0;  ///< ...and how many slots they fill
   u64 landed_ = 0;
   Cycle first_landed_at_ = 0;
   Cycle last_landed_at_ = 0;

@@ -147,7 +147,7 @@ void SendSide::transmit(const Packet& p) {
 void SendSide::arm_timeout() {
   if (timeout_armed_) return;
   timeout_armed_ = true;
-  engine_.schedule(params_.resend_timeout_cycles, [this] { on_timeout(); });
+  engine_.schedule(params_.resend_timeout_cycles, TimeoutAction{this});
 }
 
 void SendSide::on_timeout() {
@@ -204,6 +204,7 @@ std::size_t SendSide::pop_acked_below(u8 expected) {
   for (std::size_t i = 0; i < d; ++i) unacked_.pop_front();
   send_cursor_ = send_cursor_ > d ? send_cursor_ - d : 0;
   if (d > 0) {
+    if (unacked_.empty()) ++windows_emptied_;
     oldest_unacked_since_ = engine_.now();
     consecutive_timeouts_ = 0;  // forward progress: the link is alive
     if (stat_acks_) *stat_acks_ += d;
@@ -235,6 +236,53 @@ void SendSide::on_nack(u8 expected) {
     if (stats_) stats_->add("scu.nack_resends", unacked_.size());
   }
   pump();
+}
+
+bool SendSide::period_ready() const {
+  if (faulted_ || ack_drops_remaining_ != 0 || sup_outstanding_ ||
+      !sup_queue_.empty() || !pirq_queue_.empty()) {
+    return false;
+  }
+  for (const Packet& p : control_queue_) {
+    if (p.type != PacketType::kAck) return false;
+  }
+  return true;
+}
+
+void SendSide::period_signature(std::vector<u64>& sig, Cycle base) const {
+  sig.push_back(data_queue_.empty());
+  sig.push_back(unacked_.size());
+  for (const Pending& p : unacked_) sig.push_back(p.seq);
+  // Meaningful (and refreshed by every ACK) only while words are windowed.
+  sig.push_back(unacked_.empty() ? 0 : oldest_unacked_since_ - base);
+  sig.push_back(send_cursor_);
+  sig.push_back(next_seq_);
+  sig.push_back(timeout_armed_);
+  sig.push_back(static_cast<u64>(consecutive_timeouts_));
+  sig.push_back(frame_in_flight_);
+  sig.push_back(control_queue_.size());
+  for (const Packet& p : control_queue_) sig.push_back(p.seq);
+}
+
+void SendSide::period_counters(std::vector<u64>& out) const {
+  out.push_back(resends_);
+  out.push_back(windows_emptied_);
+}
+
+void SendSide::skip_periods(u64 n, const u64*& delta, Cycle dt) {
+  resends_ += n * *delta++;
+  windows_emptied_ += n * *delta++;
+  if (!unacked_.empty()) oldest_unacked_since_ += dt;
+}
+
+const void* SendSide::timeout_kind() {
+  return sim::EventFn::kind_of<TimeoutAction>();
+}
+
+u64 SendSide::take_queued_word() {
+  const u64 word = data_queue_.front();
+  data_queue_.pop_front();
+  return word;
 }
 
 void SendSide::on_sup_ack(u8 seq) {
@@ -383,5 +431,25 @@ void RecvSide::set_data_sink(std::function<void(u64)> sink) {
 }
 
 void RecvSide::clear_data_sink() { data_sink_ = nullptr; }
+
+bool RecvSide::period_ready() const {
+  return held_.empty() && forced_corrupt_remaining_ == 0;
+}
+
+void RecvSide::period_signature(std::vector<u64>& sig) const {
+  sig.push_back(expected_seq_);
+  sig.push_back(sup_expected_seq_);
+  sig.push_back(static_cast<bool>(data_sink_));
+}
+
+void RecvSide::period_counters(std::vector<u64>& out) const {
+  out.push_back(detected_errors_);
+  out.push_back(undetected_errors_);
+}
+
+void RecvSide::skip_periods(u64 n, const u64*& delta) {
+  detected_errors_ += n * *delta++;
+  undetected_errors_ += n * *delta++;
+}
 
 }  // namespace qcdoc::scu

@@ -22,6 +22,7 @@
 
 #include <deque>
 #include <functional>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/types.h"
@@ -117,9 +118,50 @@ class SendSide {
     resends_ = resends;
   }
 
+  /// Pending link-fault injections (ack drops not yet applied), for
+  /// snapshots: a restored machine drops the same acknowledgements.
+  int pending_ack_drops() const { return ack_drops_remaining_; }
+  void restore_ack_drops(int n) { ack_drops_remaining_ = n; }
+
+  // --- Virtual periods (net/virtual_periods.cpp) ---------------------------
+  /// False while something outside a steady data stream is armed or
+  /// queued here: a fault, pending ack drops, supervisor or
+  /// partition-interrupt traffic, or a control packet other than an ACK.
+  [[nodiscard]] bool period_ready() const;
+  /// Append the state that decides this side's next events, with times
+  /// relative to `base` (data words themselves are left out: they never
+  /// steer the protocol).
+  void period_signature(std::vector<u64>& sig, Cycle base) const;
+  /// Append the lifetime counters a period adds to.
+  void period_counters(std::vector<u64>& out) const;
+  /// Skip `n` periods of `dt` cycles in all: add `n` times the next
+  /// period_counters() entries of `delta` (advancing it) and move the
+  /// time-valued state `dt` on.
+  void skip_periods(u64 n, const u64*& delta, Cycle dt);
+  /// Words taken from the data queue so far, and words still queued.
+  u64 words_sent() const { return words_accepted_ - data_queue_.size(); }
+  std::size_t words_queued() const { return data_queue_.size(); }
+  /// Hand the oldest queued data word to a splice instead of the wire.
+  u64 take_queued_word();
+  /// The resend timeout: its event kind (sim::EventFn::kind()), whether
+  /// one is pending, and its length.  While the window stays occupied and
+  /// ACKs keep resetting its age, a timeout that fires only re-arms itself
+  /// one timeout later.
+  static const void* timeout_kind();
+  [[nodiscard]] bool timeout_armed() const { return timeout_armed_; }
+  Cycle resend_timeout() const { return params_.resend_timeout_cycles; }
+  /// Words transmitted and not yet acknowledged, and how many times every
+  /// one of them has been acknowledged (the window emptied).
+  std::size_t words_in_window() const { return unacked_.size(); }
+  u64 windows_emptied() const { return windows_emptied_; }
+
  private:
   void pump();
   void transmit(const Packet& p);
+  struct TimeoutAction {
+    SendSide* side;
+    void operator()() const { side->on_timeout(); }
+  };
   void arm_timeout();
   void on_timeout();
   void declare_fault();
@@ -148,6 +190,7 @@ class SendSide {
   u64 resends_ = 0;
   Cycle oldest_unacked_since_ = 0;
   bool timeout_armed_ = false;
+  u64 windows_emptied_ = 0;
   int consecutive_timeouts_ = 0;
   bool faulted_ = false;
   int ack_drops_remaining_ = 0;
@@ -224,6 +267,21 @@ class RecvSide final : public hssl::Receiver {
     words_received_ = words_received;
     detected_errors_ = detected;
     undetected_errors_ = undetected;
+  }
+  /// Pending forced corruptions, for snapshots (see force_corrupt).
+  int pending_forced_corruptions() const { return forced_corrupt_remaining_; }
+  void restore_forced_corruptions(int n) { forced_corrupt_remaining_ = n; }
+
+  // --- Virtual periods (see SendSide) --------------------------------------
+  /// False with words held in idle receive or forced corruption armed.
+  [[nodiscard]] bool period_ready() const;
+  void period_signature(std::vector<u64>& sig) const;
+  void period_counters(std::vector<u64>& out) const;
+  void skip_periods(u64 n, const u64*& delta);
+  /// Count a word a splice moved past the wire as received.
+  void absorb_word(u64 word) {
+    checksum_ += word;
+    ++words_received_;
   }
   /// The per-link corruption stream, exposed so its RNG state can be
   /// captured/restored with the rest of the machine.

@@ -101,6 +101,26 @@ class CalendarQueue {
     return push(ev.time, ev.src_rank, ev.seq, std::move(ev.fn));
   }
 
+  /// Visit every pending event as f(time, src_rank, seq, fn), in no
+  /// particular order.
+  template <typename F>
+  void for_each(F&& f) const {
+    for (std::size_t w = 0; w < kWords; ++w) {
+      for (u64 bits = occupied_[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t bi =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        for (u32 i = head_[bi]; i != kNil; i = nodes_[i].next) {
+          const Node& n = nodes_[i];
+          f(n.time, n.src_rank, n.seq, n.fn);
+        }
+      }
+    }
+    for (const FarRef& r : far_) {
+      const Node& n = nodes_[r.node];
+      f(n.time, n.src_rank, n.seq, n.fn);
+    }
+  }
+
   /// Remove and return the earliest event (by (time, src, seq)).  Requires
   /// non-empty.  O(1) plus the window slide.
   QueuedEvent pop_min() {

@@ -54,6 +54,32 @@
 
 namespace qcdoc::sim {
 
+/// One executed event as a period template records it: its key, and the
+/// schedules its rank had made before running it.
+struct ExecutedKey {
+  EventKey key;
+  u64 scheduled_before = 0;
+};
+
+/// One verified period of a steady state, in relative form: for each
+/// destination rank, the events it executed in that period in execution
+/// order, each time relative to the period start and each seq and
+/// scheduled_before relative to the schedule count of its source (or its
+/// rank) there (seq wrapping below zero for events scheduled before the
+/// period); and the schedules each rank made per period.
+struct PeriodTemplate {
+  Cycle period = 0;
+  std::vector<std::vector<ExecutedKey>> keys;
+  std::vector<u64> schedules;
+};
+
+/// A pending event at least one period past a boundary.
+struct FarEvent {
+  EventKey key;
+  u32 rank = 0;               ///< destination
+  const void* kind = nullptr; ///< EventFn::kind() of its action
+};
+
 struct ParallelConfig {
   int threads = 1;     ///< shards: the caller runs one, a worker each other
   Cycle lookahead = 1; ///< window length; no cross-node effect sooner
@@ -80,6 +106,53 @@ class ParallelEngine final : public Engine {
 
   int threads() const { return cfg_.threads; }
   Cycle lookahead() const { return cfg_.lookahead; }
+
+  // --- Virtual periods ----------------------------------------------------
+  // A caller that can prove a stretch of the run periodic
+  // (net/virtual_periods.cpp) runs the per-event path in steps of one
+  // period, and then splices whole periods: their keys are folded into the
+  // rank digests and counted as executed, but never queued or dispatched.
+  // Single shard only (threads == 1).
+
+  enum class DrainStop { kDrained, kLimit, kStalled };
+  /// drain() bounded by `limit`: run events earlier than `limit` until
+  /// `counter` reads zero (kDrained, clock as drain() leaves it), no event
+  /// before `limit` remains (kLimit) or none at all (kStalled).
+  DrainStop drain_before(const ActiveCounter& counter, Cycle limit);
+
+  /// Append every executed event, absolute, to (*sink)[rank] until called
+  /// again with nullptr.  `sink` must hold one vector per rank.
+  void record_keys(std::vector<std::vector<ExecutedKey>>* sink) {
+    record_ = sink;
+  }
+
+  std::size_t num_ranks() const { return ranks_.size(); }
+  /// Schedules made so far by each rank: the next seq each hands out.
+  std::vector<u64> schedule_counts() const;
+
+  /// Pending-event picture at a period boundary `b` (every event before
+  /// `b` executed, none at or after it).  Appends, rank by rank in key
+  /// order, each pending event earlier than `b + horizon` as (rank,
+  /// time - b, src, seq - schedule count of src, action kind), and lists
+  /// the rest in `far`.
+  void pending_signature(Cycle b, Cycle horizon, std::vector<u64>& sig,
+                         std::vector<FarEvent>& far) const;
+
+  /// Splice `n` repeats of `tmpl` from boundary `b`: fold each rank's
+  /// template keys n times, shifted by (j * period, j * schedules of src)
+  /// on top of the current schedule counts, into its digest and executed
+  /// count; advance every schedule count by n periods' worth; move every
+  /// pending event earlier than `b + period` n periods later (time and
+  /// seq); and leave the rest untouched.  The caller guarantees that the
+  /// machine at `b` is in the state `tmpl` was recorded from and that no
+  /// other event falls before `b + n * period`, except events of kind
+  /// `rerun_kind`: each of those, whenever it falls due in the span, only
+  /// schedules itself again `rerun_every` cycles later on its own rank
+  /// (2 * period < rerun_every).  Those runs are folded in their place too,
+  /// every schedule after one takes the next seq, and the event is left
+  /// pending at its first time past the span.
+  void splice_periods(const PeriodTemplate& tmpl, Cycle b, u64 n,
+                      const void* rerun_kind = nullptr, Cycle rerun_every = 0);
 
  private:
   static constexpr Cycle kNoEvent = CalendarQueue::kNoEvent;
@@ -171,6 +244,8 @@ class ParallelEngine final : public Engine {
   u64 pushed_total_ = 0;    ///< all schedules (slot counters folded in)
   u64 executed_total_ = 0;  ///< all executions (slot counters folded in)
   u64 parallel_window_events_ = 0;
+  u64 virtual_events_ = 0;
+  std::vector<std::vector<ExecutedKey>>* record_ = nullptr;
   u64 peak_pending_ = 0;
   double barrier_stall_seconds_ = 0;
   std::array<u64, 16> barrier_hist_{};

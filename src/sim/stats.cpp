@@ -17,6 +17,14 @@ bool StatSet::has(const std::string& name) const {
 
 void StatSet::clear() { counters_.clear(); }
 
+void StatSet::values(std::vector<u64>& out) const {
+  for (const auto& [name, v] : counters_) out.push_back(v);
+}
+
+void StatSet::add_times(const u64*& delta, u64 n) {
+  for (auto& [name, v] : counters_) v += n * *delta++;
+}
+
 std::vector<std::pair<std::string, u64>> StatSet::snapshot() const {
   return {counters_.begin(), counters_.end()};
 }

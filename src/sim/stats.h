@@ -31,6 +31,15 @@ class StatSet {
   bool has(const std::string& name) const;
   void clear();
 
+  /// Number of counters (names are only ever added, so equal sizes mean
+  /// equal name sets).
+  std::size_t size() const { return counters_.size(); }
+  /// Append every value in name order...
+  void values(std::vector<u64>& out) const;
+  /// ...and add `n` times the next size() entries of `delta`, in the same
+  /// order, advancing `delta` past them.
+  void add_times(const u64*& delta, u64 n);
+
   /// Stable-ordered snapshot for reports.
   std::vector<std::pair<std::string, u64>> snapshot() const;
 

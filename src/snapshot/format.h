@@ -44,6 +44,7 @@ inline constexpr const char* kSecAudit = "AUDIT   ";
 inline constexpr const char* kSecService = "SERVICE ";
 inline constexpr const char* kSecSolver = "SOLVER  ";
 inline constexpr const char* kSecJob = "JOB     ";
+inline constexpr const char* kSecLinkFaults = "LINKFLT ";
 
 struct Section {
   std::string tag;  ///< exactly 8 chars, space padded

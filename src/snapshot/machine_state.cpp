@@ -1,5 +1,6 @@
 #include "snapshot/machine_state.h"
 
+#include <array>
 #include <string>
 
 #include "memsys/scrub.h"
@@ -21,6 +22,7 @@ constexpr u32 kScuVersion = 1;
 constexpr u32 kHealthVersion = 1;
 constexpr u32 kAuditVersion = 1;
 constexpr u32 kServiceVersion = 1;
+constexpr u32 kLinkFaultVersion = 1;
 
 Status check_version(const Section* s, u32 want) {
   if (s->version != want) {
@@ -350,6 +352,67 @@ Status restore_scu(Machine& m, ByteSource& src) {
   return src.expect_exhausted();
 }
 
+// --- LINKFLT: link-fault injections still armed -----------------------------
+// Ack drops and forced corruptions not yet applied, per link.  Sparse, and
+// written only when there are any, so fault-free snapshots are unchanged.
+
+bool encode_link_faults(Machine& m, ByteSink& sink) {
+  std::vector<std::array<u32, 4>> armed;  // node, link, ack drops, corruptions
+  for (int i = 0; i < m.num_nodes(); ++i) {
+    scu::Scu& scu = m.scu(NodeId{static_cast<u32>(i)});
+    for (int l = 0; l < torus::kLinksPerNode; ++l) {
+      const torus::LinkIndex link{l};
+      if (!scu.has_link(link)) continue;
+      const int drops = scu.send_side(link).pending_ack_drops();
+      const int corrupt = scu.recv_side(link).pending_forced_corruptions();
+      if (drops == 0 && corrupt == 0) continue;
+      armed.push_back({static_cast<u32>(i), static_cast<u32>(l),
+                       static_cast<u32>(drops), static_cast<u32>(corrupt)});
+    }
+  }
+  if (armed.empty()) return false;
+  sink.put_u64(armed.size());
+  for (const auto& row : armed) {
+    for (const u32 v : row) sink.put_u32(v);
+  }
+  return true;
+}
+
+void clear_link_faults(Machine& m) {
+  for (int i = 0; i < m.num_nodes(); ++i) {
+    scu::Scu& scu = m.scu(NodeId{static_cast<u32>(i)});
+    for (int l = 0; l < torus::kLinksPerNode; ++l) {
+      const torus::LinkIndex link{l};
+      if (!scu.has_link(link)) continue;
+      scu.send_side(link).restore_ack_drops(0);
+      scu.recv_side(link).restore_forced_corruptions(0);
+    }
+  }
+}
+
+Status restore_link_faults(Machine& m, ByteSource& src) {
+  u64 count = 0;
+  if (Status s = src.get_u64(&count); !s) return s;
+  for (u64 k = 0; k < count; ++k) {
+    std::array<u32, 4> row{};
+    for (u32& v : row) {
+      if (Status s = src.get_u32(&v); !s) return s;
+    }
+    const auto [node, l, drops, corrupt] = row;
+    if (node >= static_cast<u32>(m.num_nodes()) ||
+        l >= static_cast<u32>(torus::kLinksPerNode) ||
+        !m.scu(NodeId{node}).has_link(torus::LinkIndex{static_cast<int>(l)}) ||
+        drops > 0x7fffffffu || corrupt > 0x7fffffffu) {
+      return Status::fail("link-fault section names no such link or count");
+    }
+    scu::Scu& scu = m.scu(NodeId{node});
+    const torus::LinkIndex link{static_cast<int>(l)};
+    scu.send_side(link).restore_ack_drops(static_cast<int>(drops));
+    scu.recv_side(link).restore_forced_corruptions(static_cast<int>(corrupt));
+  }
+  return src.expect_exhausted();
+}
+
 // --- HEALTH -----------------------------------------------------------------
 
 void encode_health(host::HealthMonitor& health, ByteSink& sink) {
@@ -526,6 +589,10 @@ Status capture_machine(Machine& m, const MachineExtras& extras,
   file->add_section(kSecMemory, std::move(memory), kMemoryVersion);
   file->add_section(kSecEcc, std::move(ecc), kEccVersion);
   file->add_section(kSecScu, std::move(scu), kScuVersion);
+  if (ByteSink faults; encode_link_faults(m, faults)) {
+    file->add_section(kSecLinkFaults, std::move(faults), kLinkFaultVersion,
+                      kSectionOptional);
+  }
   if (extras.health != nullptr) {
     ByteSink health;
     encode_health(*extras.health, health);
@@ -583,6 +650,13 @@ Status restore_machine(Machine& m, const MachineExtras& extras,
   if (Status s = file.open(kSecScu, &src); !s) return s;
   if (Status s = check_version(file.find(kSecScu), kScuVersion); !s) return s;
   if (Status s = restore_scu(m, *src); !s) return s;
+  // A link has no armed fault unless the snapshot lists one.
+  clear_link_faults(m);
+  if (const Section* sec = file.find(kSecLinkFaults); sec != nullptr) {
+    if (Status s = check_version(sec, kLinkFaultVersion); !s) return s;
+    if (Status st = file.open(kSecLinkFaults, &src); !st) return st;
+    if (Status st = restore_link_faults(m, *src); !st) return st;
+  }
 
   if (const Section* sec = file.find(kSecHealth); sec != nullptr) {
     if (Status s = check_version(sec, kHealthVersion); !s) return s;

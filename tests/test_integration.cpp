@@ -168,5 +168,43 @@ TEST(Integration, FaultySerialLinkIsRepairedAndReported) {
   }
 }
 
+// A long unmonitored solve over a whole machine of marginal wires: at BER
+// 1e-6 every link sees a few detected errors, and the resend protocol must
+// repair each one without stalling the mesh.  Noisy wires never splice
+// (net/virtual_periods.cpp), so every event is dispatched.
+TEST(Integration, LongSolveAtBerOneInAMillionKeepsEveryLinkChecksum) {
+  for (u64 seed = 0; seed < 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    machine::MachineConfig cfg;
+    cfg.shape.extent = {2, 2, 2, 2, 1, 1};
+    cfg.bit_error_rate = 1e-6;
+    cfg.seed = seed;
+    machine::Machine m(cfg);
+    m.power_on();
+    const torus::Partition part = torus::Partition::whole_machine(
+        m.topology(), torus::FoldSpec::identity(4));
+    comms::Communicator comm(&m, &part);
+    lattice::GlobalGeometry geom(&part, {4, 4, 4, 4});
+    machine::BspRunner bsp(&m);
+    cpu::CpuModel cpu_model(m.hw(), m.mem_timing());
+    lattice::FieldOps ops(&bsp, &cpu_model, &comm);
+    lattice::GaugeField gauge(&comm, &geom);
+    lattice::testing::fill_gauge_by_global_site(geom, gauge, seed);
+    lattice::WilsonDirac op(&ops, &geom, &gauge,
+                            lattice::WilsonParams{.kappa = 0.12});
+    lattice::DistField x = op.make_field("x");
+    lattice::DistField b = op.make_field("b");
+    x.zero();
+    fill_by_global_site(geom, b);
+    lattice::CgParams params;
+    params.fixed_iterations = 100;
+    const lattice::CgResult res = lattice::cg_solve(op, x, b, params);
+    EXPECT_EQ(res.iterations, 100);
+    EXPECT_GT(m.mesh().total_stat("scu.detected_errors"), 0u);
+    EXPECT_TRUE(m.mesh().verify_link_checksums());
+    EXPECT_EQ(m.engine().report().virtual_events, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace qcdoc

@@ -520,6 +520,106 @@ TEST(SnapshotMachine, RestoreRejectsGeometryAndSeedMismatch) {
   }
 }
 
+// Armed link faults -- ack drops and forced corruptions not yet applied --
+// are machine state: a restored machine applies them exactly where the
+// uninterrupted one does.
+struct ArmedApplyJob {
+  struct Result {
+    std::vector<u64> checksums;
+    u64 resends = 0;
+    u64 norm_bits = 0;
+    u64 field_fnv = 0;
+  };
+
+  // Built in the same order every time, so a restore finds the allocation
+  // layout it captured.
+  lattice::testing::LatticeRig rig{{2, 2, 1, 1, 1, 1}, {8, 8, 4, 4}};
+  lattice::GaugeField gauge{rig.comm.get(), rig.geom.get()};
+  lattice::WilsonDirac op{rig.ops.get(), rig.geom.get(), &gauge,
+                          lattice::WilsonParams{.kappa = 0.12}};
+  lattice::DistField in = op.make_field("in");
+  lattice::DistField out = op.make_field("out");
+
+  ArmedApplyJob() {
+    lattice::testing::fill_gauge_by_global_site(*rig.geom, gauge, 7);
+    lattice::testing::fill_by_global_site(*rig.geom, in);
+  }
+
+  void arm() {
+    rig.m->scu(NodeId{1}).send_side(torus::LinkIndex{0}).drop_acks(3);
+    rig.m->scu(NodeId{2}).recv_side(torus::LinkIndex{1}).force_corrupt(2);
+  }
+
+  Result finish() {
+    op.apply(out, in);
+    op.apply(in, out);
+    Result r;
+    for (int i = 0; i < rig.m->num_nodes(); ++i) {
+      scu::Scu& scu = rig.m->scu(NodeId{static_cast<u32>(i)});
+      for (int l = 0; l < torus::kLinksPerNode; ++l) {
+        r.checksums.push_back(scu.send_checksum(torus::LinkIndex{l}));
+        r.checksums.push_back(scu.recv_checksum(torus::LinkIndex{l}));
+        r.resends += scu.send_side(torus::LinkIndex{l}).resends();
+      }
+    }
+    r.norm_bits = std::bit_cast<u64>(rig.ops->norm2(in));
+    r.field_fnv = testing::field_bits_fnv(in);
+    return r;
+  }
+};
+
+TEST(SnapshotMachine, PendingLinkFaultsSurviveARestore) {
+  ArmedApplyJob reference;
+  reference.arm();
+  const ArmedApplyJob::Result want = reference.finish();
+  ASSERT_GT(want.resends, 0u);  // the drops forced timeout resends
+
+  SnapshotFile file;
+  {
+    ArmedApplyJob writer;
+    writer.arm();
+    ASSERT_TRUE(capture_machine(*writer.rig.m, MachineExtras{}, &file).ok);
+    ASSERT_NE(file.find(kSecLinkFaults), nullptr);
+  }
+  ArmedApplyJob resumed;
+  const Status s = restore_machine(*resumed.rig.m, MachineExtras{}, file);
+  ASSERT_TRUE(s.ok) << s.reason;
+  const ArmedApplyJob::Result got = resumed.finish();
+  EXPECT_EQ(got.checksums, want.checksums);
+  EXPECT_EQ(got.resends, want.resends);
+  EXPECT_EQ(got.norm_bits, want.norm_bits);
+  EXPECT_EQ(got.field_fnv, want.field_fnv);
+  EXPECT_FALSE(resumed.rig.m->mesh().verify_link_checksums());
+}
+
+TEST(SnapshotMachine, FaultFreeSnapshotsCarryNoLinkFaultSection) {
+  ArmedApplyJob job;
+  SnapshotFile file;
+  ASSERT_TRUE(capture_machine(*job.rig.m, MachineExtras{}, &file).ok);
+  EXPECT_EQ(file.find(kSecLinkFaults), nullptr);
+}
+
+TEST(SnapshotMachine, RestoringAFaultFreeSnapshotDisarmsLinkFaults) {
+  ArmedApplyJob reference;
+  const ArmedApplyJob::Result want = reference.finish();
+
+  SnapshotFile file;
+  {
+    ArmedApplyJob writer;
+    ASSERT_TRUE(capture_machine(*writer.rig.m, MachineExtras{}, &file).ok);
+  }
+  ArmedApplyJob armed;
+  armed.arm();
+  const Status s = restore_machine(*armed.rig.m, MachineExtras{}, file);
+  ASSERT_TRUE(s.ok) << s.reason;
+  const ArmedApplyJob::Result got = armed.finish();
+  EXPECT_EQ(got.resends, 0u);
+  EXPECT_EQ(got.checksums, want.checksums);
+  EXPECT_EQ(got.norm_bits, want.norm_bits);
+  EXPECT_EQ(got.field_fnv, want.field_fnv);
+  EXPECT_TRUE(armed.rig.m->mesh().verify_link_checksums());
+}
+
 // --- end-to-end crash-resume (small machine) ------------------------------
 
 SolveScenario small_scenario(int sim_threads) {

@@ -129,9 +129,6 @@ class MeshNet {
     std::vector<u64> sig;    ///< relative state the period starts (and ends) in
     std::vector<u64> delta;  ///< growth of every lifetime counter per period
     std::vector<u64> words;  ///< words per period on each directed link
-    std::vector<u64> emptied;  ///< times each link's send window emptied
-    /// Every event ran within two periods of being scheduled.
-    bool prompt = false;
     sim::PeriodTemplate keys;
   };
   /// The engine, when it can splice: one shard, switch on, no scrubbers.
@@ -140,11 +137,9 @@ class MeshNet {
   bool take_boundary(Cycle at, Cycle period, const Boundary* prev,
                      Boundary& out) const;
   void learn_period(const Boundary& prev, const Boundary& cur,
-                    const std::vector<std::vector<sim::ExecutedKey>>& keys);
-  Cycle rerun_timeouts(const Boundary& at) const;
-  u64 splice_bound(const Boundary& at, Cycle rerun) const;
-  void splice(sim::ParallelEngine& pe, const Boundary& at, u64 n,
-              Cycle rerun);
+                    const std::vector<std::vector<sim::EventKey>>& keys);
+  u64 splice_bound(const Boundary& at) const;
+  void splice(sim::ParallelEngine& pe, const Boundary& at, u64 n);
   bool drain_periodic(sim::ParallelEngine& pe);
 
   sim::Engine* engine_;

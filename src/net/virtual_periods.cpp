@@ -26,15 +26,12 @@
 // at the boundary stay in flight and land where they always would; the
 // receive DMA skips the spliced slots after them.
 //
-// Resend timeouts fire every few thousand cycles on every streaming link.
-// While a link's window never empties and every period acknowledges words,
-// a timeout that fires only re-arms itself one timeout later; the engine
-// folds those runs in their place too, and every later schedule of that
-// rank takes the next seq.  n stops short of every other event outside the
-// periodic picture (timeouts that could act, watchdogs; host events a full
-// period early, so every word in flight at the splice has landed before
-// the host next acts) and of the last period's words of every transfer.
-// Anything outside a clean data
+// n stops short of every event outside the periodic picture (the resend
+// timeouts every few thousand cycles, watchdogs; host events a full period
+// early, so every word in flight at the splice has landed before the host
+// next acts) and of the last period's words of every transfer; the
+// per-word path runs the period that holds such an event, and the next
+// boundary in the known state splices again.  Anything outside a clean data
 // stream -- a wire with bit errors or not trained, armed ack drops or
 // forced corruptions, supervisor, partition-interrupt, NACK or resend
 // traffic, idle-receive holds, scrubbers, more than one engine thread --
@@ -57,6 +54,11 @@ namespace {
 constexpr Cycle kSeqSpace = 4;
 /// Longest period worth proving.
 constexpr Cycle kMaxPeriod = 1024;
+/// Boundaries in a row that may match neither the one before nor the
+/// known period before drain() stops taking them: a stream that does not
+/// settle into the period (one waiting on every ACK, say) then runs per
+/// word to the end without paying for a signature every period.
+constexpr int kMaxMisses = 4;
 }  // namespace
 
 struct MeshNet::Boundary {
@@ -65,7 +67,6 @@ struct MeshNet::Boundary {
   std::vector<u64> counters;   ///< lifetime counters, node by node
   std::vector<u64> sent;       ///< words taken from each send queue
   std::vector<u64> in_transit; ///< ...and of those, not yet accepted
-  std::vector<u64> emptied;    ///< times each send window emptied
   std::vector<u64> scheduled;  ///< schedule count of each engine rank
   std::vector<sim::FarEvent> far;  ///< pending events past one period
   bool fresh_far = false;      ///< one was scheduled since `prev`
@@ -105,7 +106,6 @@ bool MeshNet::take_boundary(Cycle at, Cycle period, const Boundary* prev,
   out.counters.clear();
   out.sent.clear();
   out.in_transit.clear();
-  out.emptied.clear();
   const u64 window = static_cast<u64>(cfg_.scu.link.ack_window);
   for (int i = 0; i < num_nodes(); ++i) {
     const NodeId node{static_cast<u32>(i)};
@@ -143,7 +143,6 @@ bool MeshNet::take_boundary(Cycle at, Cycle period, const Boundary* prev,
       out.sig.push_back(in_transit);
       out.sent.push_back(send.words_sent());
       out.in_transit.push_back(in_transit);
-      out.emptied.push_back(send.windows_emptied());
     }
   }
   auto& pe = static_cast<sim::ParallelEngine&>(*engine_);
@@ -160,7 +159,7 @@ bool MeshNet::take_boundary(Cycle at, Cycle period, const Boundary* prev,
 
 void MeshNet::learn_period(
     const Boundary& prev, const Boundary& cur,
-    const std::vector<std::vector<sim::ExecutedKey>>& keys) {
+    const std::vector<std::vector<sim::EventKey>>& keys) {
   Period p;
   p.sig = cur.sig;
   p.delta.resize(cur.counters.size());
@@ -168,11 +167,9 @@ void MeshNet::learn_period(
     p.delta[k] = cur.counters[k] - prev.counters[k];
   }
   p.words.resize(cur.sent.size());
-  p.emptied.resize(cur.sent.size());
   bool moved = false;
   for (std::size_t k = 0; k < cur.sent.size(); ++k) {
     p.words[k] = cur.sent[k] - prev.sent[k];
-    p.emptied[k] = cur.emptied[k] - prev.emptied[k];
     moved = moved || p.words[k] != 0;
   }
   // A period must move words, and it may not contain host events: those
@@ -184,59 +181,21 @@ void MeshNet::learn_period(
     p.keys.schedules[r] = cur.scheduled[r] - prev.scheduled[r];
   }
   p.keys.keys = keys;
-  p.prompt = true;
-  for (std::size_t r = 0; r < p.keys.keys.size(); ++r) {
-    for (sim::ExecutedKey& k : p.keys.keys[r]) {
-      k.key.time -= prev.at;
-      k.key.seq -= prev.scheduled[k.key.src_rank];
-      k.scheduled_before -= prev.scheduled[r];
-      p.prompt = p.prompt &&
-                 static_cast<i64>(k.key.seq) >=
-                     -static_cast<i64>(p.keys.schedules[k.key.src_rank]);
+  for (std::vector<sim::EventKey>& rank : p.keys.keys) {
+    for (sim::EventKey& k : rank) {
+      k.time -= prev.at;
+      k.seq -= prev.scheduled[k.src_rank];
     }
   }
   period_ = std::move(p);
 }
 
-Cycle MeshNet::rerun_timeouts(const Boundary& at) const {
+u64 MeshNet::splice_bound(const Boundary& at) const {
   const Cycle period = period_.keys.period;
-  const void* timeout = scu::SendSide::timeout_kind();
-  Cycle every = 0;
-  std::size_t armed = 0;
-  std::size_t k = 0;
-  for (int i = 0; i < num_nodes(); ++i) {
-    for (int l = 0; l < torus::kLinksPerNode; ++l, ++k) {
-      const NodeId node{static_cast<u32>(i)};
-      const scu::SendSide& send = scus_[node.value]->send_side(LinkIndex{l});
-      if (!send.timeout_armed()) continue;
-      // The window never empties and every period acknowledges words, so
-      // when the timeout fires the window has words and its age (reset by
-      // every ACK) is under two periods: it re-arms and does nothing else.
-      if (period_.words[k] == 0 || period_.emptied[k] != 0 ||
-          send.words_in_window() == 0 ||
-          (every != 0 && send.resend_timeout() != every)) {
-        return 0;
-      }
-      every = send.resend_timeout();
-      ++armed;
-    }
-  }
-  const auto pending = static_cast<std::size_t>(
-      std::count_if(at.far.begin(), at.far.end(),
-                    [timeout](const sim::FarEvent& e) {
-                      return e.kind == timeout;
-                    }));
-  return period_.prompt && every > 2 * period && pending == armed ? every : 0;
-}
-
-u64 MeshNet::splice_bound(const Boundary& at, Cycle rerun) const {
-  const Cycle period = period_.keys.period;
-  const void* timeout = scu::SendSide::timeout_kind();
   // Host events count one period early: the host may act on any node, so
   // a splice must end a full period before one.
   Cycle far = sim::CalendarQueue::kNoEvent;
   for (const sim::FarEvent& e : at.far) {
-    if (rerun != 0 && e.kind == timeout) continue;
     far = std::min(far, e.rank == 0 ? e.key.time - period : e.key.time);
   }
   u64 n = far == sim::CalendarQueue::kNoEvent ? ~u64{0}
@@ -264,8 +223,7 @@ u64 MeshNet::splice_bound(const Boundary& at, Cycle rerun) const {
   return n;
 }
 
-void MeshNet::splice(sim::ParallelEngine& pe, const Boundary& at, u64 n,
-                     Cycle rerun) {
+void MeshNet::splice(sim::ParallelEngine& pe, const Boundary& at, u64 n) {
   const Cycle dt = n * period_.keys.period;
   const u64* delta = period_.delta.data();
   std::vector<u64> words;
@@ -302,9 +260,7 @@ void MeshNet::splice(sim::ParallelEngine& pe, const Boundary& at, u64 n,
                                      words.size());
     }
   }
-  pe.splice_periods(period_.keys, at.at, n,
-                    rerun != 0 ? scu::SendSide::timeout_kind() : nullptr,
-                    rerun);
+  pe.splice_periods(period_.keys, at.at, n);
 }
 
 bool MeshNet::drain_periodic(sim::ParallelEngine& pe) {
@@ -314,9 +270,12 @@ bool MeshNet::drain_periodic(sim::ParallelEngine& pe) {
   Boundary prev;
   Boundary cur;
   bool have_prev = false;
-  std::vector<std::vector<sim::ExecutedKey>> keys(pe.num_ranks());
+  int misses = 0;
+  std::vector<std::vector<sim::EventKey>> keys(pe.num_ranks());
   for (;;) {
-    if (period == 0) return pe.drain(active_transfers_);
+    if (period == 0 || misses > kMaxMisses) {
+      return pe.drain(active_transfers_);
+    }
     for (auto& rank : keys) rank.clear();
     if (have_prev) pe.record_keys(&keys);
     const Stop stop = pe.drain_before(active_transfers_, b + period);
@@ -331,16 +290,16 @@ bool MeshNet::drain_periodic(sim::ParallelEngine& pe) {
     }
     if (!take_boundary(b, period, have_prev ? &prev : nullptr, cur)) {
       have_prev = false;
+      ++misses;
       continue;
     }
     const bool known = period_.keys.period == period && period_.sig == cur.sig;
-    if (!known && have_prev && prev.sig == cur.sig && !cur.fresh_far) {
-      learn_period(prev, cur, keys);
-    }
+    const bool repeats = have_prev && prev.sig == cur.sig;
+    if (!known && repeats && !cur.fresh_far) learn_period(prev, cur, keys);
+    misses = known || repeats ? 0 : misses + 1;
     if (period_.keys.period == period && period_.sig == cur.sig) {
-      const Cycle rerun = rerun_timeouts(cur);
-      if (const u64 n = splice_bound(cur, rerun); n > 0) {
-        splice(pe, cur, n, rerun);
+      if (const u64 n = splice_bound(cur); n > 0) {
+        splice(pe, cur, n);
         b += n * period;
         have_prev = false;
         continue;

@@ -147,7 +147,7 @@ void SendSide::transmit(const Packet& p) {
 void SendSide::arm_timeout() {
   if (timeout_armed_) return;
   timeout_armed_ = true;
-  engine_.schedule(params_.resend_timeout_cycles, TimeoutAction{this});
+  engine_.schedule(params_.resend_timeout_cycles, [this] { on_timeout(); });
 }
 
 void SendSide::on_timeout() {
@@ -204,7 +204,6 @@ std::size_t SendSide::pop_acked_below(u8 expected) {
   for (std::size_t i = 0; i < d; ++i) unacked_.pop_front();
   send_cursor_ = send_cursor_ > d ? send_cursor_ - d : 0;
   if (d > 0) {
-    if (unacked_.empty()) ++windows_emptied_;
     oldest_unacked_since_ = engine_.now();
     consecutive_timeouts_ = 0;  // forward progress: the link is alive
     if (stat_acks_) *stat_acks_ += d;
@@ -266,17 +265,11 @@ void SendSide::period_signature(std::vector<u64>& sig, Cycle base) const {
 
 void SendSide::period_counters(std::vector<u64>& out) const {
   out.push_back(resends_);
-  out.push_back(windows_emptied_);
 }
 
 void SendSide::skip_periods(u64 n, const u64*& delta, Cycle dt) {
   resends_ += n * *delta++;
-  windows_emptied_ += n * *delta++;
   if (!unacked_.empty()) oldest_unacked_since_ += dt;
-}
-
-const void* SendSide::timeout_kind() {
-  return sim::EventFn::kind_of<TimeoutAction>();
 }
 
 u64 SendSide::take_queued_word() {

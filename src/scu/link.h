@@ -143,25 +143,10 @@ class SendSide {
   std::size_t words_queued() const { return data_queue_.size(); }
   /// Hand the oldest queued data word to a splice instead of the wire.
   u64 take_queued_word();
-  /// The resend timeout: its event kind (sim::EventFn::kind()), whether
-  /// one is pending, and its length.  While the window stays occupied and
-  /// ACKs keep resetting its age, a timeout that fires only re-arms itself
-  /// one timeout later.
-  static const void* timeout_kind();
-  [[nodiscard]] bool timeout_armed() const { return timeout_armed_; }
-  Cycle resend_timeout() const { return params_.resend_timeout_cycles; }
-  /// Words transmitted and not yet acknowledged, and how many times every
-  /// one of them has been acknowledged (the window emptied).
-  std::size_t words_in_window() const { return unacked_.size(); }
-  u64 windows_emptied() const { return windows_emptied_; }
 
  private:
   void pump();
   void transmit(const Packet& p);
-  struct TimeoutAction {
-    SendSide* side;
-    void operator()() const { side->on_timeout(); }
-  };
   void arm_timeout();
   void on_timeout();
   void declare_fault();
@@ -190,7 +175,6 @@ class SendSide {
   u64 resends_ = 0;
   Cycle oldest_unacked_since_ = 0;
   bool timeout_armed_ = false;
-  u64 windows_emptied_ = 0;
   int consecutive_timeouts_ = 0;
   bool faulted_ = false;
   int ack_drops_remaining_ = 0;

@@ -83,25 +83,6 @@ inline u64 fnv1a(u64 h, u64 v) {
   return h * kFnvPrimePow[8 - n];
 }
 
-/// fnv1a(h, v) for one fixed `v` as one multiply and one table lookup.
-/// XOR with a byte touches only h's low byte, and the low byte of a product
-/// depends only on the low bytes of its factors, so the eight byte steps
-/// carry h's upper bits through a plain multiply by kFnvPrime^8:
-///   fnv1a(h, v) == kFnvPrime^8 * h + t[h & 0xff],
-///   t[x] == fnv1a(x, v) - kFnvPrime^8 * x.
-/// The first byte step only XORs v's low byte into h, so one table of
-/// `v & ~0xff` also serves every v' with the same upper bytes:
-///   fnv1a(h, v') == FnvTable(v' & ~0xff).fold(h ^ (v' & 0xff)).
-struct FnvTable {
-  std::array<u64, 256> t{};
-  explicit FnvTable(u64 v = 0) {
-    for (u64 x = 0; x < t.size(); ++x) {
-      t[x] = fnv1a(x, v) - kFnvPrimePow[8] * x;
-    }
-  }
-  u64 fold(u64 h) const { return kFnvPrimePow[8] * h + t[h & 0xffu]; }
-};
-
 /// Per-thread execution context: which engine is running an event on this
 /// thread, at what time, on behalf of which node.  Lets now() and schedule()
 /// work unchanged from worker threads, and lets newly scheduled events

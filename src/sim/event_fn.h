@@ -123,11 +123,6 @@ class EventFn {
   /// two pending events can be compared by what they will run, not only by
   /// when.  Null for an empty EventFn.
   const void* kind() const noexcept { return ops_; }
-  /// kind() of an EventFn holding a callable of type F.
-  template <typename F>
-  static const void* kind_of() noexcept {
-    return &kOps<std::decay_t<F>>;
-  }
 
   void operator()() { ops_->call(target()); }
 

@@ -4,7 +4,6 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <utility>
 
 namespace qcdoc::sim {
@@ -203,8 +202,7 @@ void ParallelEngine::exec_event(u32 rank, QueuedEvent ev) {
   rq.digest = detail::fnv1a(rq.digest, ev.seq);
   ++rq.executed;
   if (record_ != nullptr) {
-    (*record_)[rank].push_back(
-        ExecutedKey{EventKey{ev.time, ev.src_rank, ev.seq}, rq.scheduled});
+    (*record_)[rank].push_back(EventKey{ev.time, ev.src_rank, ev.seq});
   }
   if (t_window_engine == this) {
     ++static_cast<WorkerSlot*>(t_slot)->window_executed;
@@ -537,7 +535,7 @@ void ParallelEngine::pending_signature(Cycle b, Cycle horizon,
       if (t < b + horizon) {
         near.push_back(Near{EventKey{t, src, seq}, fn.kind()});
       } else {
-        far.push_back(FarEvent{EventKey{t, src, seq}, r, fn.kind()});
+        far.push_back(FarEvent{EventKey{t, src, seq}, r});
       }
     });
     if (near.empty()) continue;
@@ -554,216 +552,40 @@ void ParallelEngine::pending_signature(Cycle b, Cycle horizon,
   }
 }
 
-namespace {
-
-/// One run of a re-running event inside a splice, on its rank.
-struct Rerun {
-  EventKey key;
-  u64 period;       ///< which period of the splice it falls in
-  std::size_t pos;  ///< template keys of its rank that run before it
-  u64 index;        ///< its schedule, counted from the splice's start
-};
-
-/// Schedules by one source rank that the reruns on it make at or before
-/// schedule `index` (counted from the splice's start, negative before it):
-/// how far every template seq from that point on moves up.
-u64 reruns_up_to(const std::vector<Rerun>& runs, i64 index) {
-  return static_cast<u64>(
-      std::upper_bound(runs.begin(), runs.end(), index,
-                       [](i64 x, const Rerun& run) {
-                         return x < static_cast<i64>(run.index);
-                       }) -
-      runs.begin());
-}
-
-}  // namespace
-
 void ParallelEngine::splice_periods(const PeriodTemplate& tmpl, Cycle b,
-                                    u64 n, const void* rerun_kind,
-                                    Cycle rerun_every) {
+                                    u64 n) {
   check_not_in_event();
-  const Cycle period = tmpl.period;
   if (cfg_.threads != 1 || tmpl.keys.size() != ranks_.size() ||
-      tmpl.schedules.size() != ranks_.size() ||
-      (rerun_kind != nullptr && rerun_every <= 2 * period)) {
+      tmpl.schedules.size() != ranks_.size()) {
     throw std::logic_error("ParallelEngine::splice_periods: bad template");
   }
   const std::size_t num = ranks_.size();
+  const Cycle period = tmpl.period;
   const std::vector<u64>& per = tmpl.schedules;
-  // The template's seq offsets per source, to tell whether a period's seqs
-  // straddle a rerun's schedule.
-  std::vector<i64> lo(num, 0);
-  std::vector<i64> hi(num, 0);
-  std::size_t longest = 0;
-  Cycle latest = 0;  // latest template time within the period
-  for (u32 r = 0; r < num; ++r) {
-    for (const ExecutedKey& k : tmpl.keys[r]) {
-      const auto q = static_cast<i64>(k.key.seq);
-      lo[k.key.src_rank] = std::min(lo[k.key.src_rank], q);
-      hi[k.key.src_rank] = std::max(hi[k.key.src_rank], q);
-      latest = std::max(latest, k.key.time);
-    }
-    longest = std::max(longest, tmpl.keys[r].size());
-  }
-  for (u32 s = 0; s < num && rerun_kind != nullptr; ++s) {
-    if (lo[s] < -static_cast<i64>(per[s])) {
-      throw std::logic_error(
-          "ParallelEngine::splice_periods: a template event waited more "
-          "than a period to run");
-    }
-  }
-  const Cycle end = b + n * period;
-  std::vector<u64> base(num);
-  std::vector<u64> h(num);
-  std::vector<std::vector<QueuedEvent>> pending(num);
-  for (u32 r = 0; r < num; ++r) {
-    base[r] = ranks_[r].scheduled;
-    h[r] = ranks_[r].digest;
-    while (!ranks_[r].q.empty()) pending[r].push_back(ranks_[r].q.pop_min());
-  }
-
-  // Place every run of a re-running event, rank by rank in execution
-  // order.  A run's seq is older than any template seq of its time and
-  // source (it was scheduled rerun_every > 2 * period earlier, template
-  // events at most two periods before they run), so it runs before every
-  // template key of its (time, src).
-  std::vector<std::vector<Rerun>> reruns(num);
-  std::vector<u64> dirty;  // periods holding a run
-  for (u32 r = 0; r < num && rerun_kind != nullptr; ++r) {
-    const std::vector<ExecutedKey>& ks = tmpl.keys[r];
-    using Due = std::pair<EventKey, std::size_t>;
-    const auto later = [](const Due& x, const Due& y) {
-      return y.first < x.first;
-    };
-    std::vector<Due> due;
-    for (std::size_t i = 0; i < pending[r].size(); ++i) {
-      const QueuedEvent& ev = pending[r][i];
-      if (ev.fn.kind() == rerun_kind && ev.time >= b + period &&
-          ev.time < end) {
-        due.emplace_back(EventKey{ev.time, ev.src_rank, ev.seq}, i);
-      }
-    }
-    std::make_heap(due.begin(), due.end(), later);
-    while (!due.empty()) {
-      std::pop_heap(due.begin(), due.end(), later);
-      const auto [key, i] = due.back();
-      due.pop_back();
-      const u64 j = (key.time - b) / period;
-      const Cycle at = key.time - b - j * period;
-      const std::size_t pos = static_cast<std::size_t>(
-          std::lower_bound(ks.begin(), ks.end(), key,
-                           [at](const ExecutedKey& k, const EventKey& e) {
-                             return k.key.time != at ? k.key.time < at
-                                                     : k.key.src_rank <
-                                                           e.src_rank;
-                           }) -
-          ks.begin());
-      const u64 index =
-          j * per[r] + (pos < ks.size() ? ks[pos].scheduled_before : per[r]);
-      const EventKey next{key.time + rerun_every, r,
-                          base[r] + index + reruns[r].size()};
-      reruns[r].push_back(Rerun{key, j, pos, index});
-      dirty.push_back(j);
-      if (next.time < end) {
-        due.emplace_back(next, i);
-        std::push_heap(due.begin(), due.end(), later);
-      } else {
-        QueuedEvent& ev = pending[r][i];
-        ev.time = next.time;
-        ev.src_rank = next.src_rank;
-        ev.seq = next.seq;
-      }
-    }
-  }
-  std::sort(dirty.begin(), dirty.end());
-
   std::vector<u32> active;
+  std::size_t longest = 0;
+  std::vector<u64> h(num);
   for (u32 r = 0; r < num; ++r) {
-    if (!tmpl.keys[r].empty() || !reruns[r].empty()) active.push_back(r);
+    if (!tmpl.keys[r].empty()) active.push_back(r);
+    longest = std::max(longest, tmpl.keys[r].size());
+    h[r] = ranks_[r].digest;
   }
 
-  // Clean periods fold through detail::FnvTable: one table per
-  // (rank, source) word of the template, and a ring of tables for the
-  // upper bytes of the time words of the current period.
-  std::vector<detail::FnvTable> pair_tables;
-  std::vector<std::vector<u32>> pair_of(num);  // table of each template key
-  {
-    std::map<u64, u32> index;
-    for (const u32 r : active) {
-      for (const ExecutedKey& k : tmpl.keys[r]) {
-        const u64 v = (u64{r} << 32) | k.key.src_rank;
-        const auto [it, fresh] = index.try_emplace(
-            v, static_cast<u32>(pair_tables.size()));
-        if (fresh) pair_tables.emplace_back(v);
-        pair_of[r].push_back(it->second);
-      }
-    }
-  }
-  const std::size_t ring_mask =
-      std::bit_ceil(static_cast<std::size_t>(latest >> 8) + 2) - 1;
-  std::vector<detail::FnvTable> time_tables(ring_mask + 1);
-  std::vector<Cycle> time_upper(ring_mask + 1, kNoEvent);
-
-  // Fold exactly the keys the per-event path would execute.
+  // Fold exactly the keys the per-event path would execute.  Every rank's
+  // digest is its own chain of dependent multiplies, so the ranks advance
+  // in lockstep, one key each, and their chains overlap.
   std::vector<u64> seq0(num);
-  std::size_t next_dirty = 0;
   for (u64 j = 0; j < n; ++j) {
     const Cycle t0 = b + j * period;
-    while (next_dirty < dirty.size() && dirty[next_dirty] < j) ++next_dirty;
-    bool clean = next_dirty == dirty.size() || dirty[next_dirty] != j;
-    for (u32 s = 0; s < num; ++s) {
-      const i64 first = static_cast<i64>(j * per[s]) + lo[s];
-      const u64 shift = reruns_up_to(reruns[s], first);
-      clean = clean && shift == reruns_up_to(reruns[s],
-                                             static_cast<i64>(j * per[s]) +
-                                                 hi[s]);
-      seq0[s] = base[s] + j * per[s] + shift;
-    }
-    if (clean) {
-      for (Cycle u = t0 >> 8; u <= (t0 + latest) >> 8; ++u) {
-        if (time_upper[u & ring_mask] != u) {
-          time_tables[u & ring_mask] = detail::FnvTable(u << 8);
-          time_upper[u & ring_mask] = u;
-        }
-      }
-      // Every rank's digest is its own chain of dependent multiplies, so
-      // the ranks advance in lockstep, one key each, and their chains
-      // overlap.
-      for (std::size_t i = 0; i < longest; ++i) {
-        for (const u32 r : active) {
-          const std::vector<ExecutedKey>& ks = tmpl.keys[r];
-          if (i >= ks.size()) continue;
-          const EventKey& k = ks[i].key;
-          const Cycle t = t0 + k.time;
-          const u64 x = time_tables[(t >> 8) & ring_mask].fold(h[r] ^ (t & 0xff));
-          h[r] = detail::fnv1a(pair_tables[pair_of[r][i]].fold(x),
-                               seq0[k.src_rank] + k.seq);
-        }
-      }
-      continue;
-    }
-    const auto fold = [&](u32 r, const EventKey& k) {
-      u64 x = detail::fnv1a(h[r], k.time);
-      x = detail::fnv1a(x, (u64{r} << 32) | k.src_rank);
-      h[r] = detail::fnv1a(x, k.seq);
-    };
-    for (const u32 r : active) {
-      const std::vector<ExecutedKey>& ks = tmpl.keys[r];
-      auto run = std::lower_bound(
-          reruns[r].begin(), reruns[r].end(), j,
-          [](const Rerun& x, u64 p) { return x.period < p; });
-      for (std::size_t i = 0; i <= ks.size(); ++i) {
-        for (; run != reruns[r].end() && run->period == j && run->pos == i;
-             ++run) {
-          fold(r, run->key);
-        }
-        if (i == ks.size()) break;
-        const EventKey& k = ks[i].key;
-        const u32 s = k.src_rank;
-        const i64 index = static_cast<i64>(j * per[s] + k.seq);
-        fold(r, EventKey{t0 + k.time, s,
-                         base[s] + static_cast<u64>(index) +
-                             reruns_up_to(reruns[s], index)});
+    for (u32 s = 0; s < num; ++s) seq0[s] = ranks_[s].scheduled + j * per[s];
+    for (std::size_t i = 0; i < longest; ++i) {
+      for (const u32 r : active) {
+        const std::vector<EventKey>& ks = tmpl.keys[r];
+        if (i >= ks.size()) continue;
+        const EventKey& k = ks[i];
+        u64 x = detail::fnv1a(h[r], t0 + k.time);
+        x = detail::fnv1a(x, (u64{r} << 32) | k.src_rank);
+        h[r] = detail::fnv1a(x, seq0[k.src_rank] + k.seq);
       }
     }
   }
@@ -771,44 +593,36 @@ void ParallelEngine::splice_periods(const PeriodTemplate& tmpl, Cycle b,
   const Cycle last_period = b + (n - 1) * period;
   for (const u32 r : active) {
     RankQ& rq = ranks_[r];
-    const u64 folded = n * tmpl.keys[r].size() + reruns[r].size();
+    const u64 folded = n * tmpl.keys[r].size();
     rq.digest = h[r];
     rq.executed += folded;
-    if (!tmpl.keys[r].empty()) {
-      rq.last_exec = last_period + tmpl.keys[r].back().key.time;
-    }
-    if (!reruns[r].empty()) {
-      rq.last_exec = std::max(rq.last_exec, reruns[r].back().key.time);
-    }
+    rq.last_exec = last_period + tmpl.keys[r].back().time;
     now_ = std::max(now_, rq.last_exec);
     executed_total_ += folded;
     virtual_events_ += folded;
   }
-  for (u32 r = 0; r < num; ++r) {
-    const u64 made = n * per[r] + reruns[r].size();
-    ranks_[r].scheduled += made;
-    pushed_total_ += made;
-  }
   // The pending events of the periodic state move n periods on, keyed as
-  // the per-event path would have scheduled them; re-running events are
-  // already re-keyed, and the rest stay.
+  // the per-event path would have scheduled them; the rest stay.
+  std::vector<QueuedEvent> pending;
   for (u32 r = 0; r < num; ++r) {
-    for (QueuedEvent& ev : pending[r]) {
+    pending.clear();
+    while (!ranks_[r].q.empty()) pending.push_back(ranks_[r].q.pop_min());
+    for (QueuedEvent& ev : pending) {
       if (ev.time < b + period) {
-        const u32 s = ev.src_rank;
-        const i64 index =
-            static_cast<i64>(n * per[s]) + static_cast<i64>(ev.seq - base[s]);
         ev.time += n * period;
-        ev.seq = base[s] + static_cast<u64>(index) +
-                 reruns_up_to(reruns[s], index);
+        ev.seq += n * per[ev.src_rank];
       }
     }
-    std::sort(pending[r].begin(), pending[r].end(),
+    std::sort(pending.begin(), pending.end(),
               [](const QueuedEvent& x, const QueuedEvent& y) {
                 return EventKey{x.time, x.src_rank, x.seq} <
                        EventKey{y.time, y.src_rank, y.seq};
               });
-    for (QueuedEvent& ev : pending[r]) ranks_[r].q.push(std::move(ev));
+    for (QueuedEvent& ev : pending) ranks_[r].q.push(std::move(ev));
+  }
+  for (u32 r = 0; r < num; ++r) {
+    ranks_[r].scheduled += n * per[r];
+    pushed_total_ += n * per[r];
   }
   for (WorkerSlot& slot : slots_) slot.heap.clear();
   for (u32 r = 0; r < num; ++r) {

@@ -54,30 +54,22 @@
 
 namespace qcdoc::sim {
 
-/// One executed event as a period template records it: its key, and the
-/// schedules its rank had made before running it.
-struct ExecutedKey {
-  EventKey key;
-  u64 scheduled_before = 0;
-};
-
 /// One verified period of a steady state, in relative form: for each
-/// destination rank, the events it executed in that period in execution
-/// order, each time relative to the period start and each seq and
-/// scheduled_before relative to the schedule count of its source (or its
-/// rank) there (seq wrapping below zero for events scheduled before the
-/// period); and the schedules each rank made per period.
+/// destination rank, the keys of the events it executed in that period in
+/// execution order, each time relative to the period start and each seq
+/// relative to the schedule count of its source there (wrapping below zero
+/// for events scheduled before the period); and the schedules each rank
+/// made per period.
 struct PeriodTemplate {
   Cycle period = 0;
-  std::vector<std::vector<ExecutedKey>> keys;
+  std::vector<std::vector<EventKey>> keys;
   std::vector<u64> schedules;
 };
 
 /// A pending event at least one period past a boundary.
 struct FarEvent {
   EventKey key;
-  u32 rank = 0;               ///< destination
-  const void* kind = nullptr; ///< EventFn::kind() of its action
+  u32 rank = 0;  ///< destination
 };
 
 struct ParallelConfig {
@@ -122,7 +114,7 @@ class ParallelEngine final : public Engine {
 
   /// Append every executed event, absolute, to (*sink)[rank] until called
   /// again with nullptr.  `sink` must hold one vector per rank.
-  void record_keys(std::vector<std::vector<ExecutedKey>>* sink) {
+  void record_keys(std::vector<std::vector<EventKey>>* sink) {
     record_ = sink;
   }
 
@@ -145,14 +137,8 @@ class ParallelEngine final : public Engine {
   /// pending event earlier than `b + period` n periods later (time and
   /// seq); and leave the rest untouched.  The caller guarantees that the
   /// machine at `b` is in the state `tmpl` was recorded from and that no
-  /// other event falls before `b + n * period`, except events of kind
-  /// `rerun_kind`: each of those, whenever it falls due in the span, only
-  /// schedules itself again `rerun_every` cycles later on its own rank
-  /// (2 * period < rerun_every).  Those runs are folded in their place too,
-  /// every schedule after one takes the next seq, and the event is left
-  /// pending at its first time past the span.
-  void splice_periods(const PeriodTemplate& tmpl, Cycle b, u64 n,
-                      const void* rerun_kind = nullptr, Cycle rerun_every = 0);
+  /// other event falls before `b + n * period`.
+  void splice_periods(const PeriodTemplate& tmpl, Cycle b, u64 n);
 
  private:
   static constexpr Cycle kNoEvent = CalendarQueue::kNoEvent;
@@ -245,7 +231,7 @@ class ParallelEngine final : public Engine {
   u64 executed_total_ = 0;  ///< all executions (slot counters folded in)
   u64 parallel_window_events_ = 0;
   u64 virtual_events_ = 0;
-  std::vector<std::vector<ExecutedKey>>* record_ = nullptr;
+  std::vector<std::vector<EventKey>>* record_ = nullptr;
   u64 peak_pending_ = 0;
   double barrier_stall_seconds_ = 0;
   std::array<u64, 16> barrier_hist_{};

@@ -153,21 +153,6 @@ TEST(Engine, FnvFoldMatchesTheBytewiseFold) {
   EXPECT_EQ(h, ref);
 }
 
-TEST(Engine, FnvTableFoldMatchesFnv1a) {
-  Rng rng(32);
-  for (int i = 0; i < 200; ++i) {
-    const u64 v = rng.next_u64() >> (8 * rng.next_below(8));
-    const detail::FnvTable whole(v);
-    const detail::FnvTable upper(v & ~u64{0xff});
-    for (int j = 0; j < 50; ++j) {
-      const u64 h = rng.next_u64();
-      const u64 want = detail::fnv1a(h, v);
-      EXPECT_EQ(whole.fold(h), want) << std::hex << h << " " << v;
-      EXPECT_EQ(upper.fold(h ^ (v & 0xff)), want) << std::hex << h << " " << v;
-    }
-  }
-}
-
 TEST(Stats, AccumulatesAndSnapshots) {
   StatSet s;
   s.add("a");

@@ -252,12 +252,12 @@ INSTANTIATE_TEST_SUITE_P(Cases, VirtualPeriods, ::testing::ValuesIn(cases()),
                            return std::string(info.param.name);
                          });
 
-// The fast path must keep engaging on the benchmark's shape: nearly every
-// key of a halo-bound M apply is folded, not dispatched -- the resend
-// timeouts' re-arms included.
+// The fast path must keep engaging on the benchmark's shape: most keys of
+// a halo-bound M apply are folded, not dispatched; the periods around the
+// resend timeouts, the start and the tail run per word.
 TEST(VirtualPeriodsGuard, MostHaloKeysAreVirtual) {
   const Outcome fast = halo_cg_shape(true);
-  EXPECT_GE(fast.virtual_events * 100, fast.events * 95)
+  EXPECT_GE(fast.virtual_events * 100, fast.events * 80)
       << fast.virtual_events << " of " << fast.events << " events virtual";
 }
 
@@ -395,9 +395,8 @@ TEST(VirtualPeriodsOracle, OneWordWindowRunsPerWord) {
   EXPECT_EQ(fast.virtual_events, 0u);
 }
 
-// A transfer that has ended leaves its resend timeout armed over an empty
-// window; until that timeout lapses, the others' timeouts are no longer
-// folded as re-arms and bound the splice instead.
+// Each transfer that ends changes the set of streaming links, and with it
+// the period, while the others stream on.
 TEST(VirtualPeriodsOracle, TransfersEndOneByOne) {
   const Shift shift{.unequal = true};
   const Outcome fast = run_shift(true, shift);
